@@ -1,15 +1,15 @@
 // Ablation: the parallel external merge engine (range-partitioned
-// multi-threaded final merge, batched loser-tree kernels) against the
-// record-at-a-time single-threaded baseline.
+// multi-threaded final merge, batched loser-tree kernel) against its
+// single-threaded baseline.
 //
 // Drives FinalMerge directly on one PE — sorted runs are fabricated and
 // written through the striped writer, then merged under every
-// (kernel, threads) cell — so the numbers isolate the merge engine from
+// (keys, threads) cell — so the numbers isolate the merge engine from
 // run formation and redistribution. Storage flags sweep the backends like
 // the other storage ablations; unavailable backends skip with a marker.
 //
 // --self-check: the CI smoke. Merges once with 1 thread and once with
-// --threads threads (batched kernel, whatever storage is configured) and
+// --threads threads (whatever storage is configured) and
 // fails unless the parallel wall is at most --max-ratio of single-thread.
 // Skips (exit 0) when the host has fewer cores than --threads: the
 // speedup assertion is meaningless on a box that cannot run the workers.
@@ -155,37 +155,24 @@ int main(int argc, char** argv) {
       "elements, R=%d runs, best of %d\n",
       io::BackendKindName(base.backend), base.io_queue_depth,
       static_cast<unsigned long long>(elements), num_runs, reps);
-  std::printf("%-8s  %-9s  %8s  %10s  %8s  %12s  %12s  %14s\n", "kernel",
-              "keys", "threads", "wall_ms", "workers", "mrg_cpu_ms",
-              "mrg_iow_ms", "demand_fetches");
+  std::printf("%-9s  %8s  %10s  %8s  %12s  %12s  %14s\n", "keys",
+              "threads", "wall_ms", "workers", "mrg_cpu_ms", "mrg_iow_ms",
+              "demand_fetches");
 
-  struct Case {
-    const char* name;
-    core::MergeKernel kernel;
-    bool clustered;
-    int threads;
-  };
-  std::vector<Case> cases;
   for (bool clustered : {false, true}) {
-    for (int t : {1, 2, 4}) {
-      if (t > max_threads) continue;
-      cases.push_back(
-          {"record", core::MergeKernel::kRecordAtATime, clustered, t});
-      cases.push_back({"batched", core::MergeKernel::kBatched, clustered, t});
+    for (int threads : {1, 2, 4}) {
+      if (threads > max_threads) continue;
+      core::SortConfig config = base;
+      config.threads_per_pe = static_cast<uint32_t>(threads);
+      MergeTiming t = TimeMerge(config, elements, num_runs, reps, clustered);
+      std::printf("%-9s  %8d  %10.1f  %8llu  %12.1f  %12.1f  %14llu%s\n",
+                  clustered ? "clustered" : "uniform", threads, t.wall_ms,
+                  static_cast<unsigned long long>(t.workers), t.cpu_ms,
+                  t.io_wait_ms,
+                  static_cast<unsigned long long>(t.demand_fetches),
+                  t.sorted ? "" : "  NOT-SORTED");
+      std::fflush(stdout);
     }
-  }
-  for (const Case& c : cases) {
-    core::SortConfig config = base;
-    config.merge_kernel = c.kernel;
-    config.threads_per_pe = static_cast<uint32_t>(c.threads);
-    MergeTiming t = TimeMerge(config, elements, num_runs, reps, c.clustered);
-    std::printf("%-8s  %-9s  %8d  %10.1f  %8llu  %12.1f  %12.1f  %14llu%s\n",
-                c.name, c.clustered ? "clustered" : "uniform", c.threads,
-                t.wall_ms, static_cast<unsigned long long>(t.workers),
-                t.cpu_ms, t.io_wait_ms,
-                static_cast<unsigned long long>(t.demand_fetches),
-                t.sorted ? "" : "  NOT-SORTED");
-    std::fflush(stdout);
   }
   return 0;
 }

@@ -213,9 +213,6 @@ inline SortRunResult RunCanonical(int num_pes, workload::Distribution dist,
     size_t max_chunk = config.stream_chunk_max_bytes != 0
                            ? config.stream_chunk_max_bytes
                            : chunk * net::kStreamAutoRangeFactor;
-    if (config.stream_chunk_mode == net::StreamChunkMode::kFixed) {
-      max_chunk = chunk;
-    }
     size_t pes_per_uplink =
         run_options.transport == net::TransportKind::kHier
             ? static_cast<size_t>(

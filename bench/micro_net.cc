@@ -3,22 +3,23 @@
 // over BOTH transports (in-process fabric mailboxes vs. real loopback TCP
 // sockets), so the cost of leaving the address space is visible.
 //
-// The AlltoallvMode family compares the three exchange schedules head to
+// The AlltoallvMode family compares the two exchange collectives head to
 // head on the in-process fabric — throughput AND peak receive-side
 // buffering (the peak_netbuf_B counter):
 //   buffered  — Comm::Alltoallv full mesh (every PE buffers P-1 payloads)
 //   stream    — Comm::AlltoallvStream chunked delivery (O(chunk x sources))
-//   pairwise  — Comm::AlltoallvPairwise rounds (one payload in flight)
-// Run one mode only with --alltoallv-mode={buffered,stream,pairwise}.
+// Run one only with --alltoallv-mode={buffered,stream}.
 //
-// The StreamTuning family A/Bs the streaming collective's credit protocol
-// and chunk controller (msgs_per_record, ctrl_msgs, piggy_credits,
-// converged_chunk_B columns); filter with --credit-mode={standalone,
-// piggyback} and/or --chunk-mode={fixed,adaptive}. `--credit-compare` is
-// the self-checking CI smoke: it runs standalone vs piggyback at P=8 and
-// exits nonzero unless piggybacking cuts control messages by >= 40% and
-// total messages strictly; add --snapshot=FILE to write the measurements
-// as JSON (the machine-readable perf trajectory, see bench/run_bench.sh).
+// The StreamTuning family reports the streaming collective's message
+// economy with chunks pinned (min = max = chunk) and with the adaptive
+// controller's default range (msgs_per_record, ctrl_msgs, piggy_credits,
+// converged_chunk_B columns). `--credit-compare` is the self-checking CI
+// smoke: at P=8 with pinned chunks it exits nonzero unless piggybacked
+// credits cut control messages by >= 40% and total messages strictly
+// against a protocol that returns one standalone credit message per
+// consumed chunk (computed exactly: same data messages, one credit
+// message per chunk); add --snapshot=FILE to write the measurements as
+// JSON (the machine-readable perf trajectory, see bench/run_bench.sh).
 //
 // `--topo-compare` is the hierarchy smoke: the same streamed exchange over
 // the same 2-PEs-per-node machine with flat vs two-level collective
@@ -46,13 +47,10 @@
 
 namespace {
 
-using demsort::net::AlltoallAlgo;
 using demsort::net::Cluster;
 using demsort::net::Comm;
 using demsort::net::HierCluster;
 using demsort::net::NetStatsSnapshot;
-using demsort::net::StreamChunkMode;
-using demsort::net::StreamCreditMode;
 using demsort::net::StreamOptions;
 using demsort::net::Topology;
 using demsort::net::TransportKind;
@@ -122,7 +120,7 @@ BENCHMARK_CAPTURE(Alltoallv, inproc, TransportKind::kInProc)
 BENCHMARK_CAPTURE(Alltoallv, tcp, TransportKind::kTcp)
     ->Arg(2)->Arg(8)->Arg(16)->Iterations(10);
 
-/// The three exchange schedules, same payload, same fabric: throughput via
+/// The two exchange collectives, same payload, same fabric: throughput via
 /// SetBytesProcessed, peak receive-side transport buffering via the
 /// peak_netbuf_B counter. The streamed mode's peak stays O(chunk x
 /// sources) while the buffered full mesh parks whole payloads per source.
@@ -157,9 +155,6 @@ void AlltoallvMode(benchmark::State& state, const std::string& mode) {
               /*on_size=*/nullptr, chunk);
           benchmark::DoNotOptimize(received_bytes);
         } else {
-          comm.set_alltoallv_algo(mode == "pairwise"
-                                      ? AlltoallAlgo::kPairwise
-                                      : AlltoallAlgo::kFullMesh);
           auto recv = comm.Alltoallv<uint64_t>(sends);
           benchmark::DoNotOptimize(recv.size());
         }
@@ -177,8 +172,6 @@ BENCHMARK_CAPTURE(AlltoallvMode, buffered, "buffered")
     ->Args({4, 256 << 10})->Args({8, 256 << 10})->Iterations(5);
 BENCHMARK_CAPTURE(AlltoallvMode, stream, "stream")
     ->Args({4, 256 << 10})->Args({8, 256 << 10})->Iterations(5);
-BENCHMARK_CAPTURE(AlltoallvMode, pairwise, "pairwise")
-    ->Args({4, 256 << 10})->Args({8, 256 << 10})->Iterations(5);
 
 // ------------------------------------------------- stream tuning A/B ----
 
@@ -193,11 +186,11 @@ struct StreamModeStats {
 };
 
 /// One streamed exchange workload at fixed parameters, on the in-process
-/// fabric, under the given credit/chunk modes. Used by both the benchmark
-/// family and the self-checking --credit-compare smoke.
+/// fabric, with every chunk pinned to `chunk` or resized by the adaptive
+/// controller in its default range. Used by both the benchmark family and
+/// the self-checking --credit-compare smoke.
 StreamModeStats RunStreamExchange(int pes, size_t per_pair, size_t chunk,
-                                  StreamCreditMode credit_mode,
-                                  StreamChunkMode chunk_mode, int reps) {
+                                  bool pin_chunks, int reps) {
   Cluster::Options options;
   options.num_pes = pes;
   int64_t t0 = demsort::NowNanos();
@@ -215,8 +208,10 @@ StreamModeStats RunStreamExchange(int pes, size_t per_pair, size_t chunk,
     StreamOptions sopts;
     sopts.chunk_bytes = chunk;
     sopts.align_bytes = sizeof(uint64_t);
-    sopts.credit_mode = credit_mode;
-    sopts.chunk_mode = chunk_mode;
+    if (pin_chunks) {
+      sopts.min_chunk_bytes = chunk;
+      sopts.max_chunk_bytes = chunk;
+    }
     for (int i = 0; i < reps; ++i) {
       uint64_t received = 0;
       comm.AlltoallvStream(
@@ -241,19 +236,17 @@ StreamModeStats RunStreamExchange(int pes, size_t per_pair, size_t chunk,
   return s;
 }
 
-/// Credit-protocol x chunk-controller comparison columns: messages per
-/// record (the per-chunk overhead the tuning exists to shave), standalone
-/// control messages vs piggybacked credits, and the converged chunk size.
-void StreamTuning(benchmark::State& state, StreamCreditMode credit_mode,
-                  StreamChunkMode chunk_mode) {
+/// Pinned vs adaptive chunk columns: messages per record (the per-chunk
+/// overhead the controller exists to shave), standalone control messages
+/// vs piggybacked credits, and the converged chunk size.
+void StreamTuning(benchmark::State& state, bool pin_chunks) {
   const int pes = static_cast<int>(state.range(0));
   const size_t per_pair = static_cast<size_t>(state.range(1));
   const size_t chunk = 16 << 10;
   const int reps = 5;
   StreamModeStats last;
   for (auto _ : state) {
-    last = RunStreamExchange(pes, per_pair, chunk, credit_mode, chunk_mode,
-                             reps);
+    last = RunStreamExchange(pes, per_pair, chunk, pin_chunks, reps);
   }
   state.counters["msgs_per_record"] =
       static_cast<double>(last.total_msgs) /
@@ -267,17 +260,9 @@ void StreamTuning(benchmark::State& state, StreamCreditMode credit_mode,
   state.SetBytesProcessed(state.iterations() * reps * pes * (pes - 1) *
                           per_pair);
 }
-BENCHMARK_CAPTURE(StreamTuning, standalone_fixed,
-                  StreamCreditMode::kStandalone, StreamChunkMode::kFixed)
+BENCHMARK_CAPTURE(StreamTuning, pinned, true)
     ->Args({8, 256 << 10})->Iterations(3);
-BENCHMARK_CAPTURE(StreamTuning, piggyback_fixed,
-                  StreamCreditMode::kPiggyback, StreamChunkMode::kFixed)
-    ->Args({8, 256 << 10})->Iterations(3);
-BENCHMARK_CAPTURE(StreamTuning, standalone_adaptive,
-                  StreamCreditMode::kStandalone, StreamChunkMode::kAdaptive)
-    ->Args({8, 256 << 10})->Iterations(3);
-BENCHMARK_CAPTURE(StreamTuning, piggyback_adaptive,
-                  StreamCreditMode::kPiggyback, StreamChunkMode::kAdaptive)
+BENCHMARK_CAPTURE(StreamTuning, adaptive, false)
     ->Args({8, 256 << 10})->Iterations(3);
 
 /// Bulk single-pair bandwidth: one 64 MiB message each way.
@@ -323,25 +308,31 @@ void WriteSnapshotMode(std::FILE* f, const char* name,
                last ? "" : ",");
 }
 
-/// The self-checking credit-protocol smoke (CI runs this in Release):
-/// piggybacking must cut standalone control messages by >= 40% AND send
-/// strictly fewer messages overall than the standalone protocol at P = 8.
-/// With --snapshot=FILE the measurements (plus an adaptive-mode run) are
+/// The self-checking credit-protocol smoke (CI runs this in Release): at
+/// P = 8 with pinned chunks, piggybacked credits must cut control messages
+/// by >= 40% AND send strictly fewer messages overall than a protocol that
+/// returns every credit standalone. That baseline is exact, not measured:
+/// the same data messages plus one credit message per consumed chunk. With
+/// --snapshot=FILE the measurements (plus an adaptive-chunk run) are
 /// written as JSON for the machine-readable perf trajectory.
 int RunCreditCompare(const std::string& snapshot_path) {
   const int pes = 8;
   const size_t per_pair = 256 << 10;
   const size_t chunk = 16 << 10;
   const int reps = 5;
-  StreamModeStats standalone = RunStreamExchange(
-      pes, per_pair, chunk, StreamCreditMode::kStandalone,
-      StreamChunkMode::kFixed, reps);
-  StreamModeStats piggyback = RunStreamExchange(
-      pes, per_pair, chunk, StreamCreditMode::kPiggyback,
-      StreamChunkMode::kFixed, reps);
-  StreamModeStats adaptive = RunStreamExchange(
-      pes, per_pair, chunk, StreamCreditMode::kPiggyback,
-      StreamChunkMode::kAdaptive, reps);
+  StreamModeStats piggyback =
+      RunStreamExchange(pes, per_pair, chunk, /*pin_chunks=*/true, reps);
+  StreamModeStats adaptive =
+      RunStreamExchange(pes, per_pair, chunk, /*pin_chunks=*/false, reps);
+  // Counted, not run: the pinned run's data path plus one credit message
+  // per consumed chunk.
+  StreamModeStats standalone = piggyback;
+  standalone.credit_msgs = static_cast<uint64_t>(reps) * pes * (pes - 1) *
+                           ((per_pair + chunk - 1) / chunk);
+  standalone.total_msgs =
+      piggyback.total_msgs - piggyback.credit_msgs + standalone.credit_msgs;
+  standalone.piggybacked_credits = 0;
+  standalone.seconds = 0;
 
   std::printf(
       "stream credit/chunk comparison: P=%d, %zu B/pair, %zu B chunks, "
@@ -350,15 +341,12 @@ int RunCreditCompare(const std::string& snapshot_path) {
   std::printf("%-20s  %10s  %10s  %13s  %14s  %16s  %8s\n", "mode",
               "total_msgs", "ctrl_msgs", "piggy_credits", "chunk_B",
               "peak_netbuf_B", "sec");
-  PrintStreamMode("standalone_fixed", standalone);
-  PrintStreamMode("piggyback_fixed", piggyback);
+  PrintStreamMode("standalone_exact", standalone);
+  PrintStreamMode("piggyback_pinned", piggyback);
   PrintStreamMode("piggyback_adaptive", adaptive);
 
-  double reduction =
-      standalone.credit_msgs == 0
-          ? 0.0
-          : 1.0 - static_cast<double>(piggyback.credit_msgs) /
-                      static_cast<double>(standalone.credit_msgs);
+  double reduction = 1.0 - static_cast<double>(piggyback.credit_msgs) /
+                               static_cast<double>(standalone.credit_msgs);
   std::printf("control-message reduction: %.1f%% (requirement: >= 40%%)\n",
               reduction * 100.0);
 
@@ -373,8 +361,8 @@ int RunCreditCompare(const std::string& snapshot_path) {
                  "  \"per_pair_bytes\": %zu,\n  \"chunk_bytes\": %zu,\n"
                  "  \"reps\": %d,\n  \"modes\": {\n",
                  pes, per_pair, chunk, reps);
-    WriteSnapshotMode(f, "standalone_fixed", standalone, false);
-    WriteSnapshotMode(f, "piggyback_fixed", piggyback, false);
+    WriteSnapshotMode(f, "standalone_exact", standalone, false);
+    WriteSnapshotMode(f, "piggyback_pinned", piggyback, false);
     WriteSnapshotMode(f, "piggyback_adaptive", adaptive, true);
     std::fprintf(f, "  },\n  \"control_msg_reduction\": %.4f\n}\n",
                  reduction);
@@ -423,7 +411,8 @@ TopoModeStats RunTopoExchange(const Topology& topo, bool flat_collectives,
     StreamOptions sopts;
     sopts.chunk_bytes = chunk;
     sopts.align_bytes = sizeof(uint64_t);
-    sopts.chunk_mode = StreamChunkMode::kFixed;
+    sopts.min_chunk_bytes = chunk;
+    sopts.max_chunk_bytes = chunk;
     for (int i = 0; i < reps; ++i) {
       uint64_t received = 0;
       comm.AlltoallvStream(
@@ -556,49 +545,29 @@ int RunTopoCompare(const std::string& snapshot_path) {
 }  // namespace
 
 /// Custom main (overrides benchmark_main's): --alltoallv-mode=<mode> runs
-/// only that schedule's comparison benchmark; --credit-mode= / --chunk-mode=
-/// filter the StreamTuning family; --credit-compare runs the self-checking
-/// piggyback-vs-standalone smoke (optionally --snapshot=FILE for JSON) and
-/// exits. All other flags pass through to Google Benchmark.
+/// only that collective's comparison benchmark; --credit-compare runs the
+/// self-checking piggyback-vs-standalone smoke (optionally --snapshot=FILE
+/// for JSON) and exits. All other flags pass through to Google Benchmark.
 int main(int argc, char** argv) {
   std::vector<char*> args;
   std::string filter_arg;
-  std::string credit_mode, chunk_mode, snapshot;
+  std::string snapshot;
   bool credit_compare = false;
   bool topo_compare = false;
   for (int i = 0; i < argc; ++i) {
     std::string arg = argv[i];
     const std::string a2a_prefix = "--alltoallv-mode=";
-    const std::string credit_prefix = "--credit-mode=";
-    const std::string chunk_prefix = "--chunk-mode=";
     const std::string snapshot_prefix = "--snapshot=";
     if (arg.rfind(a2a_prefix, 0) == 0) {
       std::string mode = arg.substr(a2a_prefix.size());
-      if (mode != "buffered" && mode != "stream" && mode != "pairwise") {
+      if (mode != "buffered" && mode != "stream") {
         std::fprintf(stderr,
                      "unknown --alltoallv-mode '%s' "
-                     "(expected buffered|stream|pairwise)\n",
+                     "(expected buffered|stream)\n",
                      mode.c_str());
         return 2;
       }
       filter_arg = "--benchmark_filter=AlltoallvMode/" + mode;
-    } else if (arg.rfind(credit_prefix, 0) == 0) {
-      credit_mode = arg.substr(credit_prefix.size());
-      if (credit_mode != "standalone" && credit_mode != "piggyback") {
-        std::fprintf(stderr,
-                     "unknown --credit-mode '%s' "
-                     "(expected standalone|piggyback)\n",
-                     credit_mode.c_str());
-        return 2;
-      }
-    } else if (arg.rfind(chunk_prefix, 0) == 0) {
-      chunk_mode = arg.substr(chunk_prefix.size());
-      if (chunk_mode != "fixed" && chunk_mode != "adaptive") {
-        std::fprintf(stderr,
-                     "unknown --chunk-mode '%s' (expected fixed|adaptive)\n",
-                     chunk_mode.c_str());
-        return 2;
-      }
     } else if (arg.rfind(snapshot_prefix, 0) == 0) {
       snapshot = arg.substr(snapshot_prefix.size());
     } else if (arg == "--credit-compare") {
@@ -611,11 +580,6 @@ int main(int argc, char** argv) {
   }
   if (credit_compare) return RunCreditCompare(snapshot);
   if (topo_compare) return RunTopoCompare(snapshot);
-  if (!credit_mode.empty() || !chunk_mode.empty()) {
-    filter_arg = "--benchmark_filter=StreamTuning/" +
-                 (credit_mode.empty() ? std::string(".*") : credit_mode) +
-                 "_" + (chunk_mode.empty() ? std::string(".*") : chunk_mode);
-  }
   if (!filter_arg.empty()) args.push_back(filter_arg.data());
   int filtered_argc = static_cast<int>(args.size());
   benchmark::Initialize(&filtered_argc, args.data());

@@ -19,8 +19,7 @@
 //                                               # QD 32, 4 stripe files per
 //                                               # emulated disk (also:
 //                                               # file, direct, mmap)
-//   ./sortbench_cli --threads=4 --merge-kernel=batched
-//                                               # range-partitioned parallel
+//   ./sortbench_cli --threads=4                 # range-partitioned parallel
 //                                               # final merge (see --stats'
 //                                               # mrg_wrk/cpu/iow columns)
 //   ./sortbench_cli --hosts=hosts.txt --rank=0  # one rank of a real
@@ -734,20 +733,11 @@ int main(int argc, char** argv) {
   options.config.seed = static_cast<uint64_t>(flags.GetInt("seed", 2009));
 
   // ---- merge engine: --threads=N workers per PE (range-partitioned final
-  // merge + intra-PE parallel sorting), --merge-kernel={batched,record}.
+  // merge + intra-PE parallel sorting).
   options.config.threads_per_pe =
       static_cast<uint32_t>(flags.GetInt("threads", 1));
   if (options.config.threads_per_pe < 1) {
     std::fprintf(stderr, "--threads must be >= 1\n");
-    return 2;
-  }
-  std::string merge_kernel = flags.GetString("merge-kernel", "batched");
-  if (merge_kernel == "batched") {
-    options.config.merge_kernel = core::MergeKernel::kBatched;
-  } else if (merge_kernel == "record") {
-    options.config.merge_kernel = core::MergeKernel::kRecordAtATime;
-  } else {
-    std::fprintf(stderr, "--merge-kernel must be 'batched' or 'record'\n");
     return 2;
   }
 

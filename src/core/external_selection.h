@@ -106,6 +106,7 @@ class ExternalSelector {
             my_row.size() * sizeof(uint64_t)),
         [&](int src, std::span<const uint8_t> chunk, bool) {
           DEMSORT_CHECK_EQ(chunk.size() % sizeof(uint64_t), 0u);
+          if (chunk.empty()) return;
           std::memcpy(split.boundary[src].data() + filled[src], chunk.data(),
                       chunk.size());
           filled[src] += chunk.size() / sizeof(uint64_t);

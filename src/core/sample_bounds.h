@@ -60,6 +60,7 @@ std::vector<T> AllgatherConcatStreamed(net::Comm& comm,
                                mine.size() * sizeof(T)),
       [&](int src, std::span<const uint8_t> chunk, bool) {
         DEMSORT_CHECK_EQ(chunk.size() % sizeof(T), 0u);
+        if (chunk.empty()) return;
         std::memcpy(merged.data() + cursor[src], chunk.data(), chunk.size());
         cursor[src] += chunk.size() / sizeof(T);
       },

@@ -216,6 +216,14 @@ constexpr uint64_t kStreamRecvLookahead = 2;
 /// Short local name for the credit window (documented in comm.h).
 constexpr uint64_t kStreamSendCredit = Comm::kStreamSendCreditChunks;
 
+/// Credits (in chunks) a receiver may owe before it must return them in a
+/// standalone message when no data frame is carrying them: the whole
+/// window, the largest threshold that stays live (see the protocol comment
+/// above AlltoallvStream).
+constexpr uint64_t kStreamCreditFlushChunks = kStreamSendCredit;
+static_assert(kStreamCreditFlushChunks >= 2,
+              "a flush must return a credit after keeping one back");
+
 /// Event-driven pacing for the streaming poll loops. Every receive a loop
 /// posts hooks its completion (RecvRequest::OnDone) to Signal(), so an
 /// idle pass sleeps on the eventcount and wakes the instant ANY hooked
@@ -279,36 +287,23 @@ Comm::ResolvedStreamTuning Comm::ResolveStreamTuning(
   t.base_chunk_bytes =
       std::max(t.align_bytes, base / t.align_bytes * t.align_bytes);
   // An explicit max is a memory CAP: the base (and therefore every wire
-  // chunk, in any mode) is clamped into it, never the cap raised to the
-  // base — bench_util's watermark guidance relies on this.
+  // chunk) is clamped into it, never the cap raised to the base —
+  // bench_util's watermark guidance relies on this.
   if (options.max_chunk_bytes != 0) {
     uint64_t cap = std::max(t.align_bytes, options.max_chunk_bytes /
                                                t.align_bytes * t.align_bytes);
     t.base_chunk_bytes = std::min(t.base_chunk_bytes, cap);
   }
-  StreamChunkMode chunk_mode = options.chunk_mode == StreamChunkMode::kAuto
-                                   ? stream_chunk_mode_
-                                   : options.chunk_mode;
-  t.adaptive = chunk_mode == StreamChunkMode::kAdaptive;
-  if (t.adaptive) {
-    uint64_t min = options.min_chunk_bytes != 0
-                       ? options.min_chunk_bytes
-                       : t.base_chunk_bytes / kStreamAutoRangeFactor;
-    min = std::max(t.align_bytes, min / t.align_bytes * t.align_bytes);
-    t.min_chunk_bytes = std::min(min, t.base_chunk_bytes);
-    uint64_t max = options.max_chunk_bytes != 0
-                       ? options.max_chunk_bytes
-                       : t.base_chunk_bytes * kStreamAutoRangeFactor;
-    max = std::max(t.align_bytes, max / t.align_bytes * t.align_bytes);
-    t.max_chunk_bytes = std::max(max, t.base_chunk_bytes);
-  } else {
-    t.min_chunk_bytes = t.base_chunk_bytes;
-    t.max_chunk_bytes = t.base_chunk_bytes;
-  }
-  StreamCreditMode credit_mode = options.credit_mode == StreamCreditMode::kAuto
-                                     ? stream_credit_mode_
-                                     : options.credit_mode;
-  t.piggyback = credit_mode != StreamCreditMode::kStandalone;
+  uint64_t min = options.min_chunk_bytes != 0
+                     ? options.min_chunk_bytes
+                     : t.base_chunk_bytes / kStreamAutoRangeFactor;
+  min = std::max(t.align_bytes, min / t.align_bytes * t.align_bytes);
+  t.min_chunk_bytes = std::min(min, t.base_chunk_bytes);
+  uint64_t max = options.max_chunk_bytes != 0
+                     ? options.max_chunk_bytes
+                     : t.base_chunk_bytes * kStreamAutoRangeFactor;
+  max = std::max(t.align_bytes, max / t.align_bytes * t.align_bytes);
+  t.max_chunk_bytes = std::max(max, t.base_chunk_bytes);
   t.credit_unit = std::max<uint64_t>(1, options.credit_unit);
   return t;
 }
@@ -326,19 +321,40 @@ Comm::ResolvedStreamTuning Comm::ResolveStreamTuning(
 // separate): StreamSizeHeader, then chunk messages (StreamChunkHeader +
 // payload), each chunk <= the resolved max chunk so the receiver can bound
 // its posted lookahead without knowing the adaptive controller's choices.
-// Credits: one per consumed chunk, returned piggybacked or as standalone
-// StreamCreditMsg; the receiver's LAST credit-tag message carries
+// Credits: one earned per consumed chunk. They ride the header of the next
+// outgoing data frame to the partner. A standalone StreamCreditMsg goes out
+// only (a) when kStreamCreditFlushChunks credits are owed and no data frame
+// took them — our own stream is finished, or this pass could not send —
+// and (b) once at the end of the stream. While our stream still has frames
+// to send, (a) keeps one chunk's credit back for the next of them. Without
+// that, two partners that exhaust their windows at the same moment both
+// flush, both refill their windows with frames that carry nothing, and
+// repeat in lockstep with every credit standalone; the one credit held
+// back lets each refill return a credit, which un-gates the partner's next
+// frame, which carries the partner's debt, and the exchange piggybacks
+// from then on. The receiver's LAST credit-tag message carries
 // kStreamCreditCloseFlag (sent when it has consumed the stream), which is
 // how the sender knows to stop re-posting credit receives — every posted
 // receive is matched, no probe primitive needed, nothing leaks.
 //
-// Liveness: no indefinite blocking wait is taken inside a round — every
-// gate (partner credits, send-window admission, incoming chunks) is polled
+// Why withholding up to a full window is live: the partner's sender blocks
+// on us only at its credit gate, i.e. with kStreamSendCredit chunks sent
+// beyond the credits it has received. Credits in flight arrive on their
+// own, so count only what we owe: if we owe fewer than a window, some of
+// its un-credited chunks are not consumed yet — they are in flight to us
+// or waiting in our mailbox, and our poll loop consumes them without
+// needing anything from the partner, raising what we owe. So either the
+// partner is not blocked on us, or we reach a full window owed and flush
+// at least one credit (the window is >= 2), which lets it send again. Any
+// threshold up to a full window is live; the full window is the one that
+// sends the fewest standalone messages.
+//
+// No indefinite blocking wait is taken inside a round — every gate
+// (partner credits, send-window admission, incoming chunks) is polled
 // while the other directions keep progressing; a pass that makes no
-// progress first flushes any piggyback-withheld credits standalone (a
-// blocked PE must never starve its partner's sender), then sleeps on the
-// RecvSignal eventcount, woken by the next receive completion or by the
-// timed fallback for the gates that are not receives.
+// progress applies the flush rule above, then sleeps on the RecvSignal
+// eventcount, woken by the next receive completion or by the timed
+// fallback for the gates that are not receives.
 // Rounds of different PEs need not be synchronized: a fast PE's header and
 // first credit-window chunks simply queue at the future partner (bounded
 // by O(credit x chunk) per source), and a waiting chain always ends at a
@@ -474,12 +490,9 @@ void Comm::AlltoallvStreamFlat(const StreamSendProvider& send_for,
     }
 
     StreamPeerTuning& tuning = stream_tuning_[q];
-    uint64_t chunk =
-        tune.adaptive
-            ? std::clamp(tuning.chunk_bytes != 0 ? tuning.chunk_bytes
-                                                 : tune.base_chunk_bytes,
-                         tune.min_chunk_bytes, tune.max_chunk_bytes)
-            : tune.base_chunk_bytes;
+    uint64_t chunk = std::clamp(
+        tuning.chunk_bytes != 0 ? tuning.chunk_bytes : tune.base_chunk_bytes,
+        tune.min_chunk_bytes, tune.max_chunk_bytes);
     chunk = std::max(tune.align_bytes,
                      chunk / tune.align_bytes * tune.align_bytes);
 
@@ -519,24 +532,26 @@ void Comm::AlltoallvStreamFlat(const StreamSendProvider& send_for,
     uint64_t pending_credits = 0;  // owed to q, not yet returned
     bool close_sent = false;
 
-    // Sends q's credits standalone: always when closing (the mandatory
-    // last credit message of the stream), otherwise only if any are
-    // pending. A blocked or tail-phase receiver must not withhold.
+    // Sends q's credits standalone: all of them when closing (the
+    // mandatory last credit message of the stream), otherwise only once a
+    // full flush threshold is owed (the flush rule above) — keeping one
+    // chunk's credit back for our next data frame while there is one.
+    const uint64_t flush_threshold =
+        kStreamCreditFlushChunks * tune.credit_unit;
     auto flush_credits = [&](bool closing) {
-      if (close_sent || (!closing && pending_credits == 0)) return;
-      DEMSORT_CHECK_LE(pending_credits, uint64_t{UINT32_MAX});
-      StreamCreditMsg cm{static_cast<uint32_t>(pending_credits),
+      if (close_sent || (!closing && pending_credits < flush_threshold)) {
+        return;
+      }
+      const bool frames_left = !header_sent || sent_bytes < total_out;
+      const uint64_t n =
+          pending_credits - (!closing && frames_left ? tune.credit_unit : 0);
+      DEMSORT_CHECK_LE(n, uint64_t{UINT32_MAX});
+      StreamCreditMsg cm{static_cast<uint32_t>(n),
                          closing ? kStreamCreditCloseFlag : 0u};
-      pending_credits = 0;
+      pending_credits -= n;
       track_send(Isend(q, credit_tag, &cm, sizeof(cm)), sizeof(cm));
       my_stats.RecordCreditMsg();
       if (closing) close_sent = true;
-    };
-
-    // Credits can ride an upcoming data frame only while our own stream
-    // to q still has chunks to send.
-    auto piggyback_possible = [&]() -> bool {
-      return tune.piggyback && (!header_sent || sent_bytes < total_out);
     };
 
     // Posted chunk receives: bounded by the number of messages PROVABLY
@@ -620,23 +635,28 @@ void Comm::AlltoallvStreamFlat(const StreamSendProvider& send_for,
           flush_credits(/*closing=*/true);
         } else {
           post_recvs();
-          if (!piggyback_possible()) flush_credits(/*closing=*/false);
+          // No data frame left to carry them: return a full threshold now.
+          if (header_sent && sent_bytes == total_out) {
+            flush_credits(/*closing=*/false);
+          }
         }
       }
       return progress;
     };
 
+    // Moves the owed credits onto the data frame about to go out.
+    auto take_carried = [&]() -> uint32_t {
+      uint32_t carried = static_cast<uint32_t>(
+          std::min<uint64_t>(pending_credits, UINT32_MAX));
+      pending_credits -= carried;
+      if (carried > 0) my_stats.RecordPiggybackedCredits(carried);
+      return carried;
+    };
+
     auto try_send = [&]() -> bool {
       bool progress = false;
       if (!header_sent) {
-        uint32_t carried = 0;
-        if (tune.piggyback && pending_credits > 0) {
-          carried = static_cast<uint32_t>(
-              std::min<uint64_t>(pending_credits, UINT32_MAX));
-          pending_credits -= carried;
-          my_stats.RecordPiggybackedCredits(carried);
-        }
-        StreamSizeHeader h{total_out, carried, 0};
+        StreamSizeHeader h{total_out, take_carried(), 0};
         track_send(Isend(q, data_tag, &h, sizeof(h)), sizeof(h));
         header_sent = true;
         progress = true;
@@ -653,26 +673,20 @@ void Comm::AlltoallvStreamFlat(const StreamSendProvider& send_for,
           // pacing, the exact signal the trace exists to make visible.
           TRACE_COMPLETE1("net", "stream.credit_stall", stall_started_ns,
                           NowNanos() - stall_started_ns, "partner", q);
-          if (!tune.adaptive) stall_started_ns = -1;
-        }
-        if (tune.adaptive) {
-          if (stall_started_ns >= 0) {
-            // The gate just reopened after a stall: a long one means the
-            // consumer is the bottleneck — halve for finer pacing.
-            if (NowNanos() - stall_started_ns > kStreamShrinkStallNs) {
-              chunk = std::max(tune.min_chunk_bytes,
-                               chunk / 2 / tune.align_bytes *
-                                   tune.align_bytes);
-              tuning.fast_streak = 0;
-            }
-            stall_started_ns = -1;
-          } else if (chunks_sent >= kStreamSendCredit) {
-            // Credit was already waiting once the window applied at all:
-            // the consumer keeps up — amortize per-chunk overhead.
-            if (++tuning.fast_streak >= kStreamGrowStreak) {
-              chunk = std::min(tune.max_chunk_bytes, chunk * 2);
-              tuning.fast_streak = 0;
-            }
+          // A long stall means the consumer is the bottleneck — halve for
+          // finer pacing.
+          if (NowNanos() - stall_started_ns > kStreamShrinkStallNs) {
+            chunk = std::max(tune.min_chunk_bytes,
+                             chunk / 2 / tune.align_bytes * tune.align_bytes);
+            tuning.fast_streak = 0;
+          }
+          stall_started_ns = -1;
+        } else if (chunks_sent >= kStreamSendCredit) {
+          // Credit was already waiting once the window applied at all:
+          // the consumer keeps up — amortize per-chunk overhead.
+          if (++tuning.fast_streak >= kStreamGrowStreak) {
+            chunk = std::min(tune.max_chunk_bytes, chunk * 2);
+            tuning.fast_streak = 0;
           }
         }
         reclaim_sends();
@@ -688,14 +702,7 @@ void Comm::AlltoallvStreamFlat(const StreamSendProvider& send_for,
             inflight_bytes + frame > send_window_bytes_) {
           break;  // admission-gated; not a consumer-pace signal
         }
-        uint32_t carried = 0;
-        if (tune.piggyback && pending_credits > 0) {
-          carried = static_cast<uint32_t>(
-              std::min<uint64_t>(pending_credits, UINT32_MAX));
-          pending_credits -= carried;
-          my_stats.RecordPiggybackedCredits(carried);
-        }
-        StreamChunkHeader ch{carried, 0};
+        StreamChunkHeader ch{take_carried(), 0};
         track_send(IsendGather(q, data_tag, &ch, sizeof(ch),
                                segs[seg_i].data() + seg_off, n),
                    frame);
@@ -718,9 +725,8 @@ void Comm::AlltoallvStreamFlat(const StreamSendProvider& send_for,
         signal.Reset();
         continue;
       }
-      // Blocked with nothing to do: release any piggyback-withheld
-      // credits first — a stalled PE must never starve its partner's
-      // sender (the liveness valve of the piggyback protocol).
+      // Blocked with nothing to do: a full threshold of owed credits goes
+      // back now — the partner may be stalled on exactly these.
       flush_credits(/*closing=*/false);
       signal.IdleWait(seen);
     }
@@ -730,7 +736,7 @@ void Comm::AlltoallvStreamFlat(const StreamSendProvider& send_for,
     if (!close_seen) {
       closes.push_back(PendingClose{q, std::move(credit_rr)});
     }
-    if (tune.adaptive) tuning.chunk_bytes = chunk;
+    tuning.chunk_bytes = chunk;
     my_stats.SetStreamChunkBytes(chunk);
   }
 
@@ -838,8 +844,6 @@ Comm& Comm::LeaderComm() {
   // adaptive-chunk state persists on the sub-comm itself).
   leader_comm_->send_window_bytes_ = send_window_bytes_;
   leader_comm_->stream_chunk_bytes_ = stream_chunk_bytes_;
-  leader_comm_->stream_chunk_mode_ = stream_chunk_mode_;
-  leader_comm_->stream_credit_mode_ = stream_credit_mode_;
   return *leader_comm_;
 }
 
@@ -955,8 +959,8 @@ std::vector<std::vector<uint8_t>> Comm::AllgatherBytesTwoLevel(
 // shared memory (cut to chunk-size spans only at the consumer); cross-node
 // payloads flow to the node leader as one pooled segment frame per
 // (source PE, remote destination) pair, are streamed leader-to-leader by
-// the flat engine as per-node aggregates — the PR 4 credit-piggyback
-// protocol runs between the node leaders — and are scattered to their
+// the flat engine as per-node aggregates — the credit-piggyback protocol
+// runs between the node leaders — and are scattered to their
 // destination PEs AS THE CHUNKS LAND. Every byte crosses its node
 // boundary exactly once, and the uplink carries N-1 aggregate streams per
 // node instead of one stream per PE pair.
@@ -1392,11 +1396,6 @@ void Comm::AlltoallvStreamTwoLevel(const StreamSendProvider& send_for,
     engine_options.align_bytes = tune.align_bytes;
     engine_options.min_chunk_bytes = scale_chunk(tune.min_chunk_bytes);
     engine_options.max_chunk_bytes = scale_chunk(tune.max_chunk_bytes);
-    engine_options.chunk_mode =
-        tune.adaptive ? StreamChunkMode::kAdaptive : StreamChunkMode::kFixed;
-    engine_options.credit_mode = tune.piggyback
-                                     ? StreamCreditMode::kPiggyback
-                                     : StreamCreditMode::kStandalone;
     // Coarser wire chunks must not shrink the credit economy: denominate
     // credits in per-pair chunks (one wire chunk carries agg_factor of
     // them), so cluster-wide credit totals — and the piggyback ratio the

@@ -46,22 +46,6 @@
 
 namespace demsort::net {
 
-/// Which exchange schedule Alltoallv uses.
-enum class AlltoallAlgo {
-  /// Full mesh below the pairwise threshold, pairwise at or above it.
-  /// Opt-in (the default is kFullMesh): the pairwise rounds serialize on
-  /// each partner and bypass the send-window discipline, a semantics
-  /// change callers should choose deliberately.
-  kAuto,
-  /// All receives posted, rank-rotated sends — minimal latency, but every
-  /// PE buffers up to P-1 payloads at once. The default.
-  kFullMesh,
-  /// P-1 rounds of single-partner exchanges (XOR partners when P is a
-  /// power of two, rotation otherwise): one payload in flight per PE, the
-  /// schedule for large P.
-  kPairwise,
-};
-
 class Comm {
  public:
   /// Contributions above this size use the bandwidth-balanced direct
@@ -77,11 +61,6 @@ class Comm {
   /// per-message overhead, small enough that receive-side buffering
   /// (chunk x active sources) stays far below a sub-step payload.
   static constexpr size_t kDefaultStreamChunkBytes = size_t{256} << 10;
-
-  /// P at or above which AlltoallAlgo::kAuto (opt-in via
-  /// set_alltoallv_algo) switches the buffered Alltoallv to the pairwise
-  /// schedule.
-  static constexpr int kDefaultPairwiseThreshold = 32;
 
   /// Un-credited chunks a streaming sender may have in flight per
   /// destination; the receiver's consumption returns the credits, so
@@ -235,13 +214,15 @@ class Comm {
   std::vector<std::vector<T>> AllgatherV(const std::vector<T>& local) {
     static_assert(std::is_trivially_copyable_v<T>);
     std::vector<uint8_t> bytes(local.size() * sizeof(T));
-    std::memcpy(bytes.data(), local.data(), bytes.size());
+    if (!bytes.empty()) std::memcpy(bytes.data(), local.data(), bytes.size());
     std::vector<std::vector<uint8_t>> parts = AllgatherBytes(bytes);
     std::vector<std::vector<T>> out(size_);
     for (int p = 0; p < size_; ++p) {
       DEMSORT_CHECK_EQ(parts[p].size() % sizeof(T), 0u);
       out[p].resize(parts[p].size() / sizeof(T));
-      std::memcpy(out[p].data(), parts[p].data(), parts[p].size());
+      if (!parts[p].empty()) {
+        std::memcpy(out[p].data(), parts[p].data(), parts[p].size());
+      }
     }
     return out;
   }
@@ -254,15 +235,13 @@ class Comm {
   /// posted first, sends go out in rank-rotated order (PE i starts with
   /// i+1, avoiding the everyone-hits-PE-0 hotspot) with at most
   /// `send_window_bytes()` of un-admitted data in flight, then payloads are
-  /// drained in rotated order. Full mesh is the default; opting in to
-  /// kPairwise or kAuto (set_alltoallv_algo) swaps in the pairwise
-  /// schedule — always, or at large P respectively.
+  /// drained in rotated order. Under a hierarchical topology the two-level
+  /// streaming path replaces it (AlltoallvTwoLevelBuffered).
   template <typename T>
   std::vector<std::vector<T>> Alltoallv(
       const std::vector<std::vector<T>>& sends) {
     static_assert(std::is_trivially_copyable_v<T>);
     DEMSORT_CHECK_EQ(sends.size(), static_cast<size_t>(size_));
-    if (UsePairwiseAlltoallv()) return AlltoallvPairwise(sends);
     if (TwoLevelActive()) return AlltoallvTwoLevelBuffered(sends);
     int tag = AllocateCollectiveTag();
 
@@ -285,7 +264,9 @@ class Comm {
       std::vector<uint8_t> bytes = recvs[p].Take();
       DEMSORT_CHECK_EQ(bytes.size() % sizeof(T), 0u);
       received[p].resize(bytes.size() / sizeof(T));
-      std::memcpy(received[p].data(), bytes.data(), bytes.size());
+      if (!bytes.empty()) {
+        std::memcpy(received[p].data(), bytes.data(), bytes.size());
+      }
     }
     window.WaitAll();
     return received;
@@ -324,36 +305,6 @@ class Comm {
     return received;
   }
 
-  /// Pairwise-exchange Alltoallv: P-1 rounds, one partner each. Every
-  /// (src, dst) channel carries exactly one message for the whole
-  /// collective and at most one payload per PE is in flight, so buffering
-  /// stays O(payload) instead of O(P x payload) — the schedule of choice
-  /// when P is large. XOR partnering (power-of-two P) pairs the rounds
-  /// perfectly; otherwise a rotation schedule is used.
-  template <typename T>
-  std::vector<std::vector<T>> AlltoallvPairwise(
-      const std::vector<std::vector<T>>& sends) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    DEMSORT_CHECK_EQ(sends.size(), static_cast<size_t>(size_));
-    int tag = AllocateCollectiveTag();
-    std::vector<std::vector<T>> received(size_);
-    received[rank_] = sends[rank_];
-    const bool pow2 = (size_ & (size_ - 1)) == 0;
-    for (int r = 1; r < size_; ++r) {
-      int to = pow2 ? (rank_ ^ r) : (rank_ + r) % size_;
-      int from = pow2 ? to : (rank_ - r + size_) % size_;
-      RecvRequest rr = Irecv(from, tag);
-      SendRequest sr =
-          Isend(to, tag, sends[to].data(), sends[to].size() * sizeof(T));
-      std::vector<uint8_t> bytes = rr.Take();
-      DEMSORT_CHECK_EQ(bytes.size() % sizeof(T), 0u);
-      received[from].resize(bytes.size() / sizeof(T));
-      std::memcpy(received[from].data(), bytes.data(), bytes.size());
-      sr.Wait();
-    }
-    return received;
-  }
-
   // ------------------------------------------- streaming collectives ------
   /// Consumes one landed chunk: `chunk` is valid only for the duration of
   /// the call; `last` marks the final chunk from `src` (an empty payload
@@ -374,7 +325,7 @@ class Comm {
   /// destination's payload travels as a size header plus bounded chunks,
   /// receives are posted chunk-granular, and `consumer` runs as each chunk
   /// lands — so unpacking, disk writes, and the tail of the network
-  /// transfer overlap. The receiver returns one credit per consumed chunk
+  /// transfer overlap. The receiver earns one credit per consumed chunk
   /// and a sender keeps at most kStreamSendCreditChunks un-credited chunks
   /// in flight per destination, so receive-side buffering is
   /// O(credit x max chunk) per active source ON EVERY TRANSPORT — chunking
@@ -386,10 +337,11 @@ class Comm {
   /// otherwise): in each round the PE streams to exactly the partner that
   /// is streaming to it, so flow-control credits ride the reverse data
   /// frames (StreamChunkHeader::credits) instead of costing a message per
-  /// chunk; standalone credit messages remain for the tail and liveness
-  /// cases (see message.h and the README's collective-tuning section).
-  /// In kAdaptive chunk mode a per-destination controller resizes chunks
-  /// within [min, max] from the measured credit turnaround. Chunks from
+  /// chunk; a standalone credit message goes out only when a full credit
+  /// window is owed with no data frame to carry it, and once per stream to
+  /// close it (see comm.cc and the README's collective-tuning section).
+  /// A per-destination controller resizes chunks within [min, max] from
+  /// the measured credit turnaround (min = max pins them). Chunks from
   /// one source arrive in order; sources complete in round order. SPMD
   /// discipline as for every collective: all PEs must pass equal options.
   void AlltoallvStream(const StreamSendProvider& send_for,
@@ -509,16 +461,6 @@ class Comm {
     stream_chunk_bytes_ = bytes;
   }
 
-  /// Comm-level defaults behind StreamOptions' kAuto modes.
-  StreamChunkMode stream_chunk_mode() const { return stream_chunk_mode_; }
-  void set_stream_chunk_mode(StreamChunkMode mode) {
-    stream_chunk_mode_ = mode;
-  }
-  StreamCreditMode stream_credit_mode() const { return stream_credit_mode_; }
-  void set_stream_credit_mode(StreamCreditMode mode) {
-    stream_credit_mode_ = mode;
-  }
-
   /// Consecutive no-stall credit checks before the adaptive controller
   /// doubles the chunk, and the credit-stall duration above which it
   /// halves it (a stall that long means the consumer, not the wire, is
@@ -535,8 +477,6 @@ class Comm {
     uint64_t base_chunk_bytes = 0;
     uint64_t min_chunk_bytes = 0;
     uint64_t max_chunk_bytes = 0;
-    bool adaptive = false;
-    bool piggyback = true;
     uint64_t credit_unit = 1;
   };
   ResolvedStreamTuning ResolveStreamTuning(const StreamOptions& options) const;
@@ -553,18 +493,6 @@ class Comm {
     return peer < static_cast<int>(stream_tuning_.size())
                ? stream_tuning_[peer].chunk_bytes
                : 0;
-  }
-
-  /// Exchange-schedule selection for the buffered Alltoallv.
-  AlltoallAlgo alltoallv_algo() const { return alltoallv_algo_; }
-  void set_alltoallv_algo(AlltoallAlgo algo) { alltoallv_algo_ = algo; }
-  int pairwise_threshold() const { return pairwise_threshold_; }
-  void set_pairwise_threshold(int pes) { pairwise_threshold_ = pes; }
-  bool UsePairwiseAlltoallv() const {
-    if (size_ <= 2) return false;  // schedules coincide
-    return alltoallv_algo_ == AlltoallAlgo::kPairwise ||
-           (alltoallv_algo_ == AlltoallAlgo::kAuto &&
-            size_ >= pairwise_threshold_);
   }
 
   /// Restarts this PE's receive-buffer peak gauge (per-phase measurements).
@@ -662,11 +590,7 @@ class Comm {
   uint32_t tag_limit_ = kCollectiveTagSpace;
   size_t send_window_bytes_ = kDefaultSendWindowBytes;
   size_t stream_chunk_bytes_ = kDefaultStreamChunkBytes;
-  StreamChunkMode stream_chunk_mode_ = StreamChunkMode::kAdaptive;
-  StreamCreditMode stream_credit_mode_ = StreamCreditMode::kPiggyback;
   std::vector<StreamPeerTuning> stream_tuning_;
-  AlltoallAlgo alltoallv_algo_ = AlltoallAlgo::kFullMesh;
-  int pairwise_threshold_ = kDefaultPairwiseThreshold;
 };
 
 template <typename T>

@@ -6,10 +6,15 @@
 // throws net::CommError (its SPMD body unwinds as if the process died),
 // the underlying transport's KillPe/KillLink poisons the affected
 // channels, and every surviving PE's pending or future Wait/Take on the
-// victim raises CommError — no hang, no abort. Because the trigger counts
-// only the victim's own operations (issued from the victim's single
-// application thread), a given (victim, fail_at_op) pair reproduces the
-// same failure point on every run, on every backend.
+// victim raises CommError — no hang, no abort. The trigger counts only the
+// victim's own operations (issued from the victim's single application
+// thread), but how many of them a phase takes varies between runs: the
+// streaming exchange sizes chunks and flushes credits from run-time
+// measurements. So a kill aimed at a phase is anchored on the phase, not
+// on a count from the start: ArmAfter, called on the victim's thread at a
+// known point (its previous phase's checkpoint commit, say), fires the kill
+// a fixed number of the victim's operations later — inside the intended
+// phase on every run, on every backend.
 //
 // For supervised-restart testing the injector holds a SCHEDULE of events,
 // each armed in a specific epoch (0 = first launch, 1 = first relaunch,
@@ -93,7 +98,8 @@ class FaultInjector {
   explicit FaultInjector(std::vector<Spec> events)
       : events_(std::move(events)),
         fired_(std::make_unique<std::atomic<bool>[]>(events_.size())),
-        link_ops_(std::make_unique<std::atomic<uint64_t>[]>(events_.size())) {
+        link_ops_(std::make_unique<std::atomic<uint64_t>[]>(events_.size())),
+        fail_at_(std::make_unique<std::atomic<uint64_t>[]>(events_.size())) {
     DEMSORT_CHECK(!events_.empty());
     for (size_t i = 0; i < events_.size(); ++i) {
       const Spec& s = events_[i];
@@ -104,6 +110,7 @@ class FaultInjector {
       DEMSORT_CHECK_LT(s.victim_pe, kMaxPes);
       fired_[i].store(false, std::memory_order_relaxed);
       link_ops_[i].store(0, std::memory_order_relaxed);
+      fail_at_[i].store(s.fail_at_op, std::memory_order_relaxed);
     }
     for (auto& c : pe_ops_) c.store(0, std::memory_order_relaxed);
   }
@@ -127,13 +134,23 @@ class FaultInjector {
 
   int epoch() const { return epoch_.load(std::memory_order_relaxed); }
 
-  /// `pe`'s operation clock in the current epoch — the calibration probe
-  /// for phase-targeted kills (record the clock at each phase boundary,
-  /// then schedule fail_at_op just past a boundary of interest).
+  /// `pe`'s operation clock in the current epoch.
   uint64_t OpCount(int pe) const {
     DEMSORT_CHECK_GE(pe, 0);
     DEMSORT_CHECK_LT(pe, kMaxPes);
     return pe_ops_[pe].load(std::memory_order_relaxed);
+  }
+
+  /// Re-targets PE-failure event `event` to fire `ops` operations after
+  /// its victim's current clock (1 = the victim's next operation). Call it
+  /// on the victim's own thread, at the point the kill is anchored to —
+  /// e.g. from RecoveryRuntime::on_phase_checkpoint.
+  void ArmAfter(size_t event, uint64_t ops) {
+    DEMSORT_CHECK_LT(event, events_.size());
+    DEMSORT_CHECK_GE(events_[event].victim_pe, 0);
+    DEMSORT_CHECK_GT(ops, 0u);
+    fail_at_[event].store(OpCount(events_[event].victim_pe) + ops,
+                          std::memory_order_relaxed);
   }
 
   /// Counts one operation of `pe`; returns true exactly once per armed
@@ -145,7 +162,10 @@ class FaultInjector {
     int now = epoch();
     for (size_t i = 0; i < events_.size(); ++i) {
       const Spec& s = events_[i];
-      if (s.victim_pe != pe || s.epoch != now || op != s.fail_at_op) continue;
+      if (s.victim_pe != pe || s.epoch != now ||
+          op != fail_at_[i].load(std::memory_order_relaxed)) {
+        continue;
+      }
       if (fired_[i].exchange(true, std::memory_order_relaxed)) continue;
       last_fired_.store(static_cast<int>(i), std::memory_order_relaxed);
       return true;
@@ -171,12 +191,13 @@ class FaultInjector {
 
   Status FaultStatus() const {
     int idx = last_fired_.load(std::memory_order_relaxed);
-    const Spec& s = events_[idx < 0 ? 0 : static_cast<size_t>(idx)];
+    const size_t i = idx < 0 ? 0 : static_cast<size_t>(idx);
+    const Spec& s = events_[i];
     if (s.victim_pe >= 0) {
-      return Status::IoError(s.reason + ": PE " +
-                             std::to_string(s.victim_pe) + " killed at op " +
-                             std::to_string(s.fail_at_op) + " (epoch " +
-                             std::to_string(s.epoch) + ")");
+      return Status::IoError(
+          s.reason + ": PE " + std::to_string(s.victim_pe) + " killed at op " +
+          std::to_string(fail_at_[i].load(std::memory_order_relaxed)) +
+          " (epoch " + std::to_string(s.epoch) + ")");
     }
     return Status::IoError(s.reason + ": link " +
                            std::to_string(s.link_src) + "->" +
@@ -191,6 +212,8 @@ class FaultInjector {
   std::array<std::atomic<uint64_t>, kMaxPes> pe_ops_;
   std::unique_ptr<std::atomic<bool>[]> fired_;
   std::unique_ptr<std::atomic<uint64_t>[]> link_ops_;
+  /// Per-event PE-failure trigger: Spec::fail_at_op until ArmAfter moves it.
+  std::unique_ptr<std::atomic<uint64_t>[]> fail_at_;
   std::atomic<int> epoch_{0};
   std::atomic<int> last_fired_{-1};
 };

@@ -37,10 +37,9 @@ struct Message {
 // is simultaneously a sender and a receiver of its round partner, so
 // flow-control credits for the REVERSE stream ride on outgoing data frames
 // instead of costing a dedicated message each (credit piggybacking).
-// Standalone StreamCreditMsg messages remain the fallback for the cases a
-// data frame cannot cover: the sender's own stream is already finished (the
-// asymmetric tail), piggybacking is disabled, or the receiver is blocked
-// and must not withhold credits (liveness). The final credit-tag message of
+// Standalone StreamCreditMsg messages are sent only when a whole credit
+// window is owed and no data frame is carrying it (the flush rule in
+// comm.cc), and once per stream to close it. The final credit-tag message of
 // every stream carries kStreamCreditCloseFlag — it is how the sender knows
 // no further credit messages will arrive, keeping posted receives exactly
 // matched (no stale receives, no probe primitive needed).
@@ -79,34 +78,13 @@ static_assert(std::is_trivially_copyable_v<StreamCreditMsg>);
 // ---------------------------------------------------------------------------
 // Streaming-collective tuning.
 
-/// How the streaming collectives size their chunks.
-enum class StreamChunkMode {
-  /// Use the Comm-level default (kAdaptive unless reconfigured).
-  kAuto,
-  /// Every chunk is exactly the configured chunk size (except the tail).
-  kFixed,
-  /// Per-destination controller resizes chunks within [min, max] from the
-  /// measured consumer drain rate: credit stalls shrink, sustained
-  /// credit-ahead streaks grow (see comm.cc).
-  kAdaptive,
-};
-
-/// How flow-control credits travel back to the sender.
-enum class StreamCreditMode {
-  /// Use the Comm-level default (kPiggyback unless reconfigured).
-  kAuto,
-  /// One standalone credit message per consumed chunk (the PR 2 protocol).
-  kStandalone,
-  /// Ride credits on reverse-direction data frames; standalone messages
-  /// only for the tail/asymmetric/liveness cases.
-  kPiggyback,
-};
-
 /// Per-call tuning of a streaming collective. SPMD discipline: every PE of
 /// the cluster must pass identical options to the same collective call —
 /// the receiver derives its buffering bound (max chunk) from them.
 struct StreamOptions {
-  /// Initial (and, in kFixed mode, only) chunk size; 0 = the Comm default.
+  /// Initial chunk size; 0 = the Comm default. The adaptive controller
+  /// resizes chunks within [min_chunk_bytes, max_chunk_bytes]; setting
+  /// min = max = chunk_bytes pins every chunk (except the tail) to it.
   size_t chunk_bytes = 0;
   /// Every chunk is a multiple of this (the record size of typed streams),
   /// so chunk boundaries never split a record even while the controller
@@ -116,8 +94,6 @@ struct StreamOptions {
   size_t min_chunk_bytes = 0;
   /// Adaptive upper bound; 0 = auto (chunk * kStreamAutoRangeFactor).
   size_t max_chunk_bytes = 0;
-  StreamChunkMode chunk_mode = StreamChunkMode::kAuto;
-  StreamCreditMode credit_mode = StreamCreditMode::kAuto;
   /// Flow-control units granted per consumed wire chunk (and charged per
   /// sent one). A leader engine that coarsens its wire chunk by the
   /// aggregation factor sets this to the same factor, keeping credits

@@ -1,6 +1,6 @@
 // Final merge (§IV phase 3): merging extent chains must produce exactly the
-// sorted concatenation, under both prefetch policies, freeing blocks as it
-// goes (in-place).
+// sorted concatenation, prefetching in prediction order and freeing blocks
+// as it goes (in-place).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -55,12 +55,11 @@ std::vector<KV16> ReadOutput(io::BlockManager* bm,
 
 class FinalMergeParamTest
     : public ::testing::TestWithParam<
-          std::tuple<int, int, PrefetchMode, int>> {};
+          std::tuple<int, int, int>> {};
 
 TEST_P(FinalMergeParamTest, MergesToSortedPermutation) {
-  auto [num_runs, extents_per_run, mode, key_range] = GetParam();
+  auto [num_runs, extents_per_run, key_range] = GetParam();
   SortConfig config = test::SmallConfig();
-  config.prefetch = mode;
   test::RunPes(1, config, [&](PeContext& ctx, const SortConfig& cfg) {
     Rng rng(num_runs * 131 + extents_per_run);
     std::vector<std::vector<Extent<KV16>>> extents(num_runs);
@@ -113,8 +112,6 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, FinalMergeParamTest,
     ::testing::Combine(::testing::Values(1, 2, 5, 9),
                        ::testing::Values(1, 3),
-                       ::testing::Values(PrefetchMode::kNaive,
-                                         PrefetchMode::kPrediction),
                        ::testing::Values(3, 1000000)));
 
 TEST(FinalMergeTest, OffsetExtents) {
@@ -241,7 +238,7 @@ std::vector<std::pair<uint64_t, uint64_t>> AsPairs(
 /// Feeds `mc` through FinalMerge under the given engine settings and
 /// asserts the output is byte-identical to the oracle: the record stream,
 /// the per-block first records, and the tail fill must all match exactly,
-/// regardless of worker count, kernel, or storage backend.
+/// regardless of worker count or storage backend.
 void CheckEngineMatchesOracle(SortConfig config, const MergeCase& mc) {
   test::RunPes(1, config, [&](PeContext& ctx, const SortConfig& cfg) {
     const size_t epb = cfg.ElementsPerBlock<KV16>();
@@ -287,13 +284,12 @@ void CheckEngineMatchesOracle(SortConfig config, const MergeCase& mc) {
 
 class ParallelMergeTest
     : public ::testing::TestWithParam<
-          std::tuple<int, io::BlockManager::BackendKind, MergeKernel>> {};
+          std::tuple<int, io::BlockManager::BackendKind>> {};
 
 TEST_P(ParallelMergeTest, ByteIdenticalAcrossEnginesAndBackends) {
-  auto [threads, backend, kernel] = GetParam();
+  auto [threads, backend] = GetParam();
   SortConfig config = test::SmallConfig();
   config.threads_per_pe = threads;
-  config.merge_kernel = kernel;
   config.backend = backend;
   std::string dir;
   if (backend != io::BlockManager::BackendKind::kMemory) {
@@ -311,9 +307,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(
         ::testing::Values(1, 2, 4),
         ::testing::Values(io::BlockManager::BackendKind::kMemory,
-                          io::BlockManager::BackendKind::kFile),
-        ::testing::Values(MergeKernel::kBatched,
-                          MergeKernel::kRecordAtATime)));
+                          io::BlockManager::BackendKind::kFile)));
 
 TEST(ParallelMergeTest, DuplicateHeavyKeysCollapseCutsSafely) {
   // All-equal keys collapse every partition cut onto the run/position tie
@@ -391,7 +385,6 @@ TEST(FinalMergeTest, PredictionReducesDemandFetches) {
   // Not a strict guarantee, but for uniformly interleaved runs the
   // prediction order should cover essentially all fetches.
   SortConfig config = test::SmallConfig();
-  config.prefetch = PrefetchMode::kPrediction;
   test::RunPes(1, config, [&](PeContext& ctx, const SortConfig& cfg) {
     Rng rng(17);
     std::vector<std::vector<Extent<KV16>>> extents(4);

@@ -147,25 +147,20 @@ void StreamBody(Comm& comm, StreamOptions options) {
   }
 }
 
-TEST(HierarchicalTransportTest, StreamingModesAcrossShapes) {
-  struct Mode {
-    StreamCreditMode credit;
-    StreamChunkMode chunk;
-    const char* name;
-  };
-  const Mode modes[] = {
-      {StreamCreditMode::kStandalone, StreamChunkMode::kFixed, "standalone"},
-      {StreamCreditMode::kPiggyback, StreamChunkMode::kFixed, "piggyback"},
-      {StreamCreditMode::kPiggyback, StreamChunkMode::kAdaptive, "adaptive"},
-  };
+TEST(HierarchicalTransportTest, StreamingChunkRangesAcrossShapes) {
+  // The chunk range pinned to StreamBody's 64-byte chunk, and the
+  // controller's default range around it.
   for (const auto& shape : TestShapes()) {
     Topology topo = ShapeTopo(shape);
-    for (const Mode& mode : modes) {
-      SCOPED_TRACE("shape " + topo.ToString() + " mode " + mode.name);
+    for (bool pinned : {true, false}) {
+      SCOPED_TRACE("shape " + topo.ToString() +
+                   (pinned ? " pinned" : " adaptive"));
       HierCluster::Run(topo, [&](Comm& comm) {
         StreamOptions options;
-        options.credit_mode = mode.credit;
-        options.chunk_mode = mode.chunk;
+        if (pinned) {
+          options.min_chunk_bytes = 64;
+          options.max_chunk_bytes = 64;
+        }
         StreamBody(comm, options);
       });
     }
@@ -289,7 +284,8 @@ TEST(HierarchicalTransportTest, PooledFramesRecycleAcrossRepeats) {
         P, std::span<const uint8_t>(payload));
     StreamOptions so;
     so.chunk_bytes = 4096;
-    so.chunk_mode = StreamChunkMode::kFixed;
+    so.min_chunk_bytes = 4096;
+    so.max_chunk_bytes = 4096;
     for (int rep = 0; rep < kReps; ++rep) {
       std::vector<uint64_t> got(P, 0);
       comm.AlltoallvStream(

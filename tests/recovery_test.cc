@@ -14,7 +14,6 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <array>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -48,10 +47,8 @@ std::string MakeTempDir() {
   return dir;
 }
 
-/// The deterministic test config: file backend rooted in `dir` (manifests
-/// alongside run files), tiny blocks, and FIXED stream chunking/crediting —
-/// the op sequence at the transport seam must reproduce exactly for the
-/// phase-boundary calibration to carry over to the kill runs.
+/// The test config: file backend rooted in `dir` (manifests alongside run
+/// files) and tiny blocks.
 core::SortConfig MakeConfig(const std::string& dir) {
   core::SortConfig config;
   config.block_size = 4 * 1024;
@@ -60,8 +57,6 @@ core::SortConfig MakeConfig(const std::string& dir) {
   config.threads_per_pe = 1;
   config.async_io = false;
   config.seed = 1;
-  config.stream_chunk_mode = net::StreamChunkMode::kFixed;
-  config.stream_credit_mode = net::StreamCreditMode::kStandalone;
   config.backend = io::BlockManager::BackendKind::kFile;
   config.file_dir = dir;
   config.checkpoint_dir = dir;
@@ -91,19 +86,27 @@ struct SupervisedOutcome {
   std::vector<net::NetStatsSnapshot> stats;
 };
 
+/// A kill aimed at one phase: the victim arms injector event 0 on its own
+/// thread, kOpsIntoPhase of its operations after the previous phase's
+/// checkpoint commits (after Bind for phase 1) — squarely inside `phase`
+/// however many operations the phases before it took.
+struct PhaseKill {
+  int victim = -1;
+  int phase = 0;
+};
+constexpr uint64_t kOpsIntoPhase = 2;
+
 /// Runs the checkpointed sort under supervision on the chosen backend with
 /// `injector` wrapped around every endpoint, and reports how it ended.
 /// This is the real harness idiom end to end: Prepare (collective resume
 /// vote) before any per-epoch resources, PeResources with reuse_files on
 /// resume, Bind to restore the interrupted phase, generate only on scratch.
-/// With probe_pe >= 0, records the victim's operation clock after Bind and
-/// at every phase-checkpoint commit into `boundaries` — the calibration
-/// that turns "kill at op N" into "kill inside phase p".
+/// With a `kill`, the victim arms it from Bind or its phase-commit hook.
 SupervisedOutcome RunSupervisedSort(
     net::TransportKind kind, const core::SortConfig& config,
     std::shared_ptr<net::FaultInjector> injector,
-    const net::RecoveryOptions& recovery_options, int probe_pe = -1,
-    std::array<uint64_t, 5>* boundaries = nullptr) {
+    const net::RecoveryOptions& recovery_options,
+    const PhaseKill& kill = {}) {
   SupervisedOutcome out;
   out.reports.resize(kP);
   std::mutex mu;
@@ -125,12 +128,11 @@ SupervisedOutcome RunSupervisedSort(
     core::PeResources resources(&comm, config, /*reuse_files=*/resume > 0);
     core::PeContext& ctx = resources.ctx();
     recovery.Bind(ctx);
-    if (rank == probe_pe && boundaries != nullptr) {
-      (*boundaries)[0] = injector->OpCount(probe_pe);
-      recovery.on_phase_checkpoint = [boundaries, &injector,
-                                      probe_pe](int phase) {
-        (*boundaries)[static_cast<size_t>(phase)] =
-            injector->OpCount(probe_pe);
+    // Armed in every epoch; the event itself only fires in its own.
+    if (rank == kill.victim) {
+      if (kill.phase == 1) injector->ArmAfter(0, kOpsIntoPhase);
+      recovery.on_phase_checkpoint = [&injector, &kill](int phase) {
+        if (phase == kill.phase - 1) injector->ArmAfter(0, kOpsIntoPhase);
       };
     }
     core::LocalInput input;
@@ -182,13 +184,18 @@ SupervisedOutcome RunSupervisedSort(
   return out;
 }
 
-/// An injector whose single event never fires (for calibration / clean
-/// supervised runs).
-std::shared_ptr<net::FaultInjector> NeverFires(int victim) {
+/// A PE failure of `victim` that never fires unless ArmAfter re-targets
+/// it.
+net::FaultInjector::Spec UnarmedKill(int victim) {
   net::FaultInjector::Spec spec;
   spec.victim_pe = victim;
   spec.fail_at_op = ~uint64_t{0} / 2;
-  return std::make_shared<net::FaultInjector>(spec);
+  return spec;
+}
+
+/// An injector whose single event never fires (clean supervised runs).
+std::shared_ptr<net::FaultInjector> NeverFires(int victim) {
+  return std::make_shared<net::FaultInjector>(UnarmedKill(victim));
 }
 
 void ExpectAllValidated(const SupervisedOutcome& out, int expected_resume) {
@@ -352,14 +359,13 @@ TEST(RecoverySortTest, CleanRunCheckpointsEveryPhase) {
   std::filesystem::remove_all(dir);
 }
 
-/// The heart of the PR: for every phase p, calibrate the victim's op count
-/// at each phase-checkpoint commit on a throwaway directory, then kill the
-/// victim two operations after the (p-1)-commit — squarely inside phase p
-/// with every rank's manifest agreeing on p-1. The supervised relaunch
-/// must consume exactly one restart, resume at p-1 on every rank, replay
-/// only phases p..4, and validate; and for p >= 2 the resumed epoch's run
-/// formation must do NO disk I/O (completed phases are skipped, not
-/// re-run).
+/// The heart of recovery: for every phase p, kill the victim two of its
+/// operations after the (p-1)-commit (after Bind for p = 1) — squarely
+/// inside phase p with every rank's manifest agreeing on p-1. The
+/// supervised relaunch must consume exactly one restart, resume at p-1 on
+/// every rank, replay only phases p..4, and validate; and for p >= 2 the
+/// resumed epoch's run formation must do NO disk I/O (completed phases are
+/// skipped, not re-run). Together these prove each kill landed in phase p.
 void KillEachPhaseAndRecover(
     net::TransportKind kind,
     const std::function<void(core::SortConfig&)>& tweak = {}) {
@@ -369,27 +375,13 @@ void KillEachPhaseAndRecover(
     return config;
   };
   const int victim = 2;
-  std::array<uint64_t, 5> boundaries{};
-  {
-    std::string calib_dir = MakeTempDir();
-    auto calib = RunSupervisedSort(kind, make_config(calib_dir),
-                                   NeverFires(victim), FastRecovery(),
-                                   victim, &boundaries);
-    ASSERT_EQ(calib.restarts, 0);
-    ExpectAllValidated(calib, 0);
-    std::filesystem::remove_all(calib_dir);
-  }
   for (int phase = 1; phase <= 4; ++phase) {
-    ASSERT_GT(boundaries[phase], boundaries[phase - 1] + 2)
-        << "phase " << phase << " too narrow to target";
-    net::FaultInjector::Spec spec;
-    spec.victim_pe = victim;
-    spec.fail_at_op = boundaries[phase - 1] + 2;
+    net::FaultInjector::Spec spec = UnarmedKill(victim);
     spec.reason = "kill in phase " + std::to_string(phase);
     std::string dir = MakeTempDir();
     auto out = RunSupervisedSort(kind, make_config(dir),
                                  std::make_shared<net::FaultInjector>(spec),
-                                 FastRecovery());
+                                 FastRecovery(), PhaseKill{victim, phase});
     EXPECT_EQ(out.restarts, 1) << "phase " << phase;
     ExpectAllValidated(out, /*expected_resume=*/phase - 1);
     for (int pe = 0; pe < kP; ++pe) {

@@ -2,8 +2,8 @@
 // implementations: the in-process Fabric and the TCP socket transport.
 // Plus TCP-specific wire coverage (loopback echo, out-of-order tag
 // matching, 64-bit frame lengths), the Fabric's bounded-channel
-// backpressure, the streaming Alltoallv / pairwise-schedule conformance
-// suite, and receiver-side backpressure (channel cap / reader watermark)
+// backpressure, the streaming Alltoallv conformance suite, and
+// receiver-side backpressure (channel cap / reader watermark)
 // pause-resume over both backends.
 #include <gtest/gtest.h>
 
@@ -207,9 +207,8 @@ uint8_t StreamPayloadByte(int src, int dst, size_t i) {
 /// The SPMD streaming-exchange body shared by several tests: every pair
 /// exchanges its StreamPayloadBytes payload in `chunk`-size pieces and
 /// verifies content, chunk bounds, size announcements, and exactly one
-/// last-chunk marker per source. `options` defaults to the Comm defaults
-/// (adaptive chunks, piggybacked credits); tests pass explicit modes to
-/// pin one protocol variant.
+/// last-chunk marker per source. `options` sets the chunk range (default:
+/// the controller's auto range around `chunk`).
 void StreamExchangeBody(Comm& comm, size_t chunk, StreamOptions options = {}) {
   const int P = comm.size();
   const int me = comm.rank();
@@ -248,25 +247,20 @@ void StreamExchangeBody(Comm& comm, size_t chunk, StreamOptions options = {}) {
 }
 
 TEST_P(TransportParamTest, AlltoallvStreamDeliversChunkedPayloads) {
-  RunWith(kind(), pes(), [](Comm& comm) { StreamExchangeBody(comm, 64); });
+  // The controller's default range around the chunk, then the range pinned
+  // to it (min = max: every chunk but the tail has exactly that size).
+  RunWith(kind(), pes(), [](Comm& comm) {
+    StreamExchangeBody(comm, 64);
+    StreamExchangeBody(comm, 64,
+                       StreamOptions{.min_chunk_bytes = 64,
+                                     .max_chunk_bytes = 64});
+  });
 }
 
 TEST_P(TransportParamTest, AlltoallvStreamChunkLargerThanPayload) {
   // Every payload fits one chunk (chunk == or > payload), including the
   // zero-payload pairs: still exactly one consumer call per source.
   RunWith(kind(), pes(), [](Comm& comm) { StreamExchangeBody(comm, 4096); });
-}
-
-TEST_P(TransportParamTest, AlltoallvStreamStandaloneCreditsAndFixedChunks) {
-  // The PR 2 protocol variant (one standalone credit message per consumed
-  // chunk, no resizing) must deliver identically — it is micro_net's
-  // comparison baseline and the fallback for asymmetric exchanges.
-  RunWith(kind(), pes(), [](Comm& comm) {
-    StreamOptions options;
-    options.chunk_mode = StreamChunkMode::kFixed;
-    options.credit_mode = StreamCreditMode::kStandalone;
-    StreamExchangeBody(comm, 64, options);
-  });
 }
 
 TEST_P(TransportParamTest, AllgatherVStreamDeliversAllContributions) {
@@ -337,8 +331,8 @@ TEST_P(TransportParamTest, PiggybackedCreditsRideDataFrames) {
     std::vector<uint64_t> got(P, 0);
     StreamOptions options;
     options.chunk_bytes = kChunk;
-    options.chunk_mode = StreamChunkMode::kFixed;
-    options.credit_mode = StreamCreditMode::kPiggyback;
+    options.min_chunk_bytes = kChunk;
+    options.max_chunk_bytes = kChunk;
     comm.AlltoallvStream(
         spans,
         [&](int src, std::span<const uint8_t> data, bool) {
@@ -412,23 +406,6 @@ TEST_P(TransportParamTest, AlltoallvStreamPayloadLargerThanSendWindow) {
     for (int s = 0; s < comm.size(); ++s) {
       EXPECT_EQ(got_bytes[s], n) << "source " << s;
       EXPECT_EQ(bad[s], 0) << "source " << s;
-    }
-  });
-}
-
-TEST_P(TransportParamTest, AlltoallvPairwiseMatchesFullMesh) {
-  RunWith(kind(), pes(), [](Comm& comm) {
-    const int P = comm.size();
-    const int me = comm.rank();
-    comm.set_alltoallv_algo(AlltoallAlgo::kPairwise);
-    std::vector<std::vector<uint32_t>> sends(P);
-    for (int d = 0; d < P; ++d) sends[d].assign(me + d, me * 1000 + d);
-    auto recvd = comm.Alltoallv<uint32_t>(sends);
-    for (int s = 0; s < P; ++s) {
-      ASSERT_EQ(recvd[s].size(), static_cast<size_t>(s + me));
-      for (uint32_t v : recvd[s]) {
-        EXPECT_EQ(v, static_cast<uint32_t>(s * 1000 + me));
-      }
     }
   });
 }
@@ -512,7 +489,8 @@ TEST_P(TransportParamTest, AlltoallvStreamBoundedUnderBackpressure) {
         std::vector<uint64_t> got(comm.size(), 0);
         StreamOptions options;
         options.chunk_bytes = kChunk;
-        options.chunk_mode = StreamChunkMode::kFixed;  // pin the bound
+        options.min_chunk_bytes = kChunk;  // pin the bound
+        options.max_chunk_bytes = kChunk;
         comm.AlltoallvStream(
             spans,
             [&](int src, std::span<const uint8_t> data, bool last) {
@@ -552,7 +530,6 @@ TEST_P(TransportParamTest, AdaptiveChunksKeepReceiveBufferBound) {
     options.chunk_bytes = kChunk;
     options.min_chunk_bytes = kChunk / 4;
     options.max_chunk_bytes = kMaxChunk;
-    options.chunk_mode = StreamChunkMode::kAdaptive;
     std::vector<uint8_t> payload(per_pair, 5);
     std::vector<std::span<const uint8_t>> spans(
         P, std::span<const uint8_t>(payload));
@@ -605,7 +582,6 @@ TEST(AdaptiveChunkControllerTest, ShrinksForSlowConsumerGrowsForFast) {
     options.chunk_bytes = kBase;
     options.min_chunk_bytes = kMin;
     options.max_chunk_bytes = kMax;
-    options.chunk_mode = StreamChunkMode::kAdaptive;
     const int me = comm.rank();
     const int peer = 1 - me;
     // Rank 0 ships enough chunks to hit the floor; rank 1 ships enough to
@@ -674,8 +650,8 @@ TEST(DegeneratePTest, CollectivesAtTrivialAndOddP) {
   // P = 1 (all self paths) and odd P = 3, 5, 7 (no XOR pairing; the
   // rotation schedules and the (rank - step) index arithmetic must hold
   // on their own, not by accident of power-of-two sizes), on BOTH
-  // backends: Barrier, Broadcast from every root, the pairwise Alltoallv
-  // rotation schedule, and AlltoallvStream.
+  // backends: Barrier, Broadcast from every root, the full-mesh Alltoallv
+  // rotation, and AlltoallvStream.
   for (TransportKind kind :
        {TransportKind::kInProc, TransportKind::kTcp}) {
     for (int num_pes : {1, 3, 5, 7}) {
@@ -690,28 +666,26 @@ TEST(DegeneratePTest, CollectivesAtTrivialAndOddP) {
           EXPECT_EQ(got, 41 + root);
         }
         comm.Barrier();
-        // Pairwise exchange: rotation partners at odd P, ragged sizes.
+        // Buffered exchange: rank-rotated order at odd P, ragged sizes.
         std::vector<std::vector<uint32_t>> sends(P);
         for (int p = 0; p < P; ++p) {
           sends[p].assign(static_cast<size_t>(me + 1),
                           static_cast<uint32_t>(me * 100 + p));
         }
-        auto received = comm.AlltoallvPairwise(sends);
+        auto received = comm.Alltoallv(sends);
         for (int p = 0; p < P; ++p) {
           ASSERT_EQ(received[p].size(), static_cast<size_t>(p + 1));
           for (uint32_t v : received[p]) {
             EXPECT_EQ(v, static_cast<uint32_t>(p * 100 + me));
           }
         }
-        // Streaming exchange with rank-dependent payload sizes, under both
-        // credit protocols (the tournament pairing (r - rank) mod P is the
-        // schedule actually exercised at odd P — partner mutuality must
-        // hold without the XOR shortcut).
-        for (StreamCreditMode credit_mode :
-             {StreamCreditMode::kPiggyback, StreamCreditMode::kStandalone}) {
+        // Streaming exchange with rank-dependent payload sizes (the
+        // tournament pairing (r - rank) mod P is the schedule actually
+        // exercised at odd P — partner mutuality must hold without the XOR
+        // shortcut).
+        {
           StreamOptions options;
           options.chunk_bytes = 256;
-          options.credit_mode = credit_mode;
           std::vector<uint8_t> payload(static_cast<size_t>(512 * (me + 1)),
                                        static_cast<uint8_t>(me));
           std::vector<std::span<const uint8_t>> spans(
