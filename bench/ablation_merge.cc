@@ -1,6 +1,6 @@
 // Ablation: the parallel external merge engine (range-partitioned
 // multi-threaded final merge, batched loser-tree kernel) against its
-// single-threaded baseline.
+// one-worker case.
 //
 // Drives FinalMerge directly on one PE — sorted runs are fabricated and
 // written through the striped writer, then merged under every

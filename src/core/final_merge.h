@@ -9,23 +9,24 @@
 // performance, never correctness. Consumed blocks are freed immediately,
 // keeping the merge (nearly) in place.
 //
-// Parallel engine (threads_per_pe > 1): the merge is range-partitioned
-// across the PE's thread pool. Pivot keys are picked from the prediction
-// sequence (the per-block first_record index, weighted by block fill) at
-// output ranks t*N/W, then refined to EXACT per-run cuts: within each run,
-// the single block possibly straddling the pivot is read once and
-// lower-bound'ed by pure key order, so partition t receives exactly the
-// records with key < pivot_{t+1} (ties all land right of the cut). Cuts are
-// therefore globally consistent and concatenating the partitions reproduces
-// the sequential merge record for record. Each worker drives its own
-// sentinel loser tree + prefetcher over its private slice of the segment
-// lists; boundary blocks shared by adjacent workers are handed out as
-// preloaded copies of the planner's read (never re-fetched, freed exactly
-// once by the worker consuming the block's tail). Workers write the
-// grid-aligned body of their output partition directly; the main thread
-// stitches head/tail boundary spans through the striped writer and adopts
-// the body blocks in between, so the output manifest (ordered block list +
-// first records) is indistinguishable from the single-threaded engine's.
+// One engine at every worker count W: the merge is range-partitioned across the
+// PE's thread pool, and W = 1 is simply the single partition — no pivots, no
+// cuts, no planner reads, merged inline on the caller. Pivot keys are picked
+// from the prediction sequence (the per-block first_record index, weighted by
+// block fill) at output ranks t*N/W, then refined to EXACT per-run cuts: within
+// each run, the single block possibly straddling the pivot is read once and
+// lower-bound'ed by pure key order, so partition t receives exactly the records
+// with key < pivot_{t+1} (ties all land right of the cut). Cuts are therefore
+// globally consistent and concatenating the partitions reproduces the
+// sequential merge record for record. Each worker drives its own sentinel loser
+// tree + prefetcher over its private slice of the segment lists; boundary
+// blocks shared by adjacent workers are handed out as preloaded copies of the
+// planner's read (never re-fetched, freed exactly once by the worker consuming
+// the block's tail). Workers write the grid-aligned body of their output
+// partition directly through their own striped writer; the main thread stitches
+// head/tail boundary spans through the output's striped writer and adopts the
+// body blocks in between, so the output manifest (ordered block list + first
+// records + tail fill) is that of one sequential merge whatever W is.
 //
 // The inner loop is batched: one loser-tree replay per span, where a span
 // is every consecutive winner record up to the runner-up's head (galloped
@@ -38,7 +39,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <deque>
 #include <map>
 #include <memory>
 #include <utility>
@@ -89,13 +89,38 @@ struct MergeSegment {
   io::Request request;
 };
 
+/// The prediction sequence: every (run, segment) in ascending first_record
+/// order, ties by (run, segment) — the order the merge consumes blocks in.
+template <typename R>
+std::vector<std::pair<size_t, size_t>> PredictionOrder(
+    const std::vector<std::vector<MergeSegment<R>>>& segments) {
+  using Less = typename RecordTraits<R>::Less;
+  Less less;
+  std::vector<std::pair<size_t, size_t>> order;
+  for (size_t j = 0; j < segments.size(); ++j) {
+    for (size_t s = 0; s < segments[j].size(); ++s) order.emplace_back(j, s);
+  }
+  std::stable_sort(order.begin(), order.end(),
+                   [&](const auto& a, const auto& b) {
+                     const R& ra = segments[a.first][a.second].first_record;
+                     const R& rb = segments[b.first][b.second].first_record;
+                     if (less(ra, rb)) return true;
+                     if (less(rb, ra)) return false;
+                     return a < b;
+                   });
+  return order;
+}
+
 template <typename R>
 class MergePrefetcher {
  public:
   MergePrefetcher(io::BlockManager* bm,
                   std::vector<std::vector<MergeSegment<R>>>* segments,
                   size_t pool_size)
-      : bm_(bm), segments_(segments), pool_size_(pool_size) {
+      : bm_(bm),
+        segments_(segments),
+        pool_size_(pool_size),
+        prediction_(PredictionOrder(*segments)) {
     // Preloaded segments arrive complete; count them so pool accounting
     // stays balanced when Release decrements.
     for (auto& run : *segments_) {
@@ -106,23 +131,6 @@ class MergePrefetcher {
         }
       }
     }
-    using Less = typename RecordTraits<R>::Less;
-    Less less;
-    for (size_t j = 0; j < segments_->size(); ++j) {
-      for (size_t s = 0; s < (*segments_)[j].size(); ++s) {
-        prediction_.emplace_back(j, s);
-      }
-    }
-    std::stable_sort(prediction_.begin(), prediction_.end(),
-                     [&](const auto& a, const auto& b) {
-                       const R& ra =
-                           (*segments_)[a.first][a.second].first_record;
-                       const R& rb =
-                           (*segments_)[b.first][b.second].first_record;
-                       if (less(ra, rb)) return true;
-                       if (less(rb, ra)) return false;
-                       return a < b;
-                     });
     FillFromPrediction();
   }
 
@@ -277,23 +285,10 @@ MergePlan<R> PlanMergePartitions(
     plan.cuts[workers][j] = prefix[j].back();
   }
 
-  // Prediction order (first_record, run, segment) with cumulative takes —
-  // the same order the prefetcher consumes blocks in.
-  struct Entry {
-    size_t j, s;
-  };
-  std::vector<Entry> order;
-  for (size_t j = 0; j < num_runs; ++j) {
-    for (size_t s = 0; s < segments[j].size(); ++s) order.push_back({j, s});
-  }
-  std::stable_sort(order.begin(), order.end(),
-                   [&](const Entry& a, const Entry& b) {
-                     const R& ra = segments[a.j][a.s].first_record;
-                     const R& rb = segments[b.j][b.s].first_record;
-                     if (less(ra, rb)) return true;
-                     if (less(rb, ra)) return false;
-                     return std::tie(a.j, a.s) < std::tie(b.j, b.s);
-                   });
+  // Pivots walk the prediction order with cumulative takes; the single
+  // partition (W = 1) has no pivots and skips the sort.
+  std::vector<std::pair<size_t, size_t>> order;
+  if (workers > 1) order = PredictionOrder(segments);
 
   auto preload = [&](size_t j, size_t s) -> const AlignedBuffer& {
     auto key = std::make_pair(j, s);
@@ -308,15 +303,17 @@ MergePlan<R> PlanMergePartitions(
 
   size_t oi = 0;
   uint64_t cum = 0;
+  auto at = [&](size_t i) -> const MergeSegment<R>& {
+    return segments[order[i].first][order[i].second];
+  };
   for (size_t t = 1; t < workers; ++t) {
     uint64_t target = t * total / workers;
-    while (oi < order.size() &&
-           cum + segments[order[oi].j][order[oi].s].take <= target) {
-      cum += segments[order[oi].j][order[oi].s].take;
+    while (oi < order.size() && cum + at(oi).take <= target) {
+      cum += at(oi).take;
       ++oi;
     }
     DEMSORT_CHECK_LT(oi, order.size());
-    const R pivot = segments[order[oi].j][order[oi].s].first_record;
+    const R pivot = at(oi).first_record;
 
     for (size_t j = 0; j < num_runs; ++j) {
       const auto& segs = segments[j];
@@ -400,10 +397,12 @@ std::vector<std::vector<MergeSegment<R>>> SliceWorkerSegments(
   return out;
 }
 
-/// Prefetch pool for one worker. Single-threaded merges keep the historic
-/// sizing bit-for-bit; with W > 1 the configured pool is split across
-/// partitions with a floor of two buffers per live run per worker (classic
-/// double buffering), so no worker can be starved below progress.
+/// Prefetch pool for one worker. The single partition (W = 1) gets the
+/// whole configured pool, or by default two buffers per run and per disk
+/// plus two (the sizing ablation_prefetch sweeps); with W > 1 the
+/// configured pool is split across partitions with a floor of two buffers
+/// per live run per worker (classic double buffering), so no worker can be
+/// starved below progress.
 inline size_t WorkerPrefetchPool(const SortConfig& config, size_t num_runs,
                                  size_t live_runs, size_t num_disks,
                                  size_t workers) {
@@ -421,12 +420,10 @@ inline size_t WorkerPrefetchPool(const SortConfig& config, size_t num_runs,
 
 /// Workers the merge actually uses: the pool size, capped so every worker
 /// owns at least a couple of blocks' worth of output.
-inline size_t EffectiveMergeWorkers(par::ThreadPool* pool,
+inline size_t EffectiveMergeWorkers(const par::ThreadPool& pool,
                                     uint64_t total_elements, size_t epb) {
-  size_t w = pool != nullptr ? pool->num_threads() : 1;
-  w = std::min<uint64_t>(
-      w, std::max<uint64_t>(1, total_elements / (2 * epb)));
-  return std::max<size_t>(w, 1);
+  return std::min<uint64_t>(
+      pool.num_threads(), std::max<uint64_t>(1, total_elements / (2 * epb)));
 }
 
 /// Galloping span search: the first index in [lo, hi) whose record fails
@@ -612,117 +609,156 @@ struct MergeWorkerMetrics {
   uint64_t demand_fetches = 0;
 };
 
-/// Accumulates worker metrics into the phase stats.
-inline void AccumulateMergeMetrics(PhaseStats* stats, size_t workers,
-                                   size_t num_runs,
-                                   const std::vector<MergeWorkerMetrics>& ms) {
-  if (stats == nullptr) return;
-  stats->merge_workers =
-      std::max<uint64_t>(stats->merge_workers, workers);
-  stats->merge_ways = std::max<uint64_t>(stats->merge_ways, num_runs);
-  for (const MergeWorkerMetrics& m : ms) {
-    stats->elements_merged += m.merged;
-    stats->demand_fetches += m.demand_fetches;
-    stats->merge_io_wait_ms += m.io_wait_ns * 1e-6;
-    int64_t cpu_ns = m.wall_ns - static_cast<int64_t>(m.io_wait_ns);
-    if (cpu_ns > 0) stats->merge_cpu_ms += cpu_ns * 1e-6;
-  }
-}
-
 /// Writes one worker's output partition. The partition's global output range
 /// [offset, offset+count) is split on the global block grid: the span up to
 /// the first grid line (head) and the one after the last (tail) stay in
-/// memory for the stitching pass; the grid-aligned body in between is
-/// written as full blocks straight from this worker, with a bounded window
-/// of in-flight writes.
+/// memory for the stitching pass; the grid-aligned body in between goes
+/// straight from this worker through its own striped writer. A partition
+/// starting at offset 0 (the only one at W = 1) has no head.
 template <typename R>
 class PartitionBlockWriter {
  public:
   PartitionBlockWriter(io::BlockManager* bm, size_t epb,
                        uint64_t global_offset, uint64_t count,
-                       size_t max_in_flight)
-      : bm_(bm), epb_(epb), max_in_flight_(std::max<size_t>(max_in_flight, 1)) {
-    uint64_t to_grid = (epb_ - global_offset % epb_) % epb_;
-    head_target_ = std::min<uint64_t>(to_grid, count);
-    body_target_ = (count - head_target_) / epb_ * epb_;
-    head_.reserve(head_target_);
-    current_ = AlignedBuffer(bm_->block_size());
+                       size_t write_window)
+      : body_(bm, write_window) {
+    head_left_ = std::min<uint64_t>((epb - global_offset % epb) % epb, count);
+    body_size_ = (count - head_left_) / epb * epb;
+    body_left_ = head_left_ == 0 ? body_size_ : 0;
+    head_.reserve(head_left_);
   }
 
   void Append(const R* records, size_t n) {
-    while (n > 0) {
-      if (head_.size() < head_target_) {
-        size_t take =
-            std::min<uint64_t>(n, head_target_ - head_.size());
-        head_.insert(head_.end(), records, records + take);
-        records += take;
-        n -= take;
-        continue;
-      }
-      if (body_written_ < body_target_) {
-        if (fill_ == 0) first_records_.push_back(records[0]);
-        size_t take = std::min(n, epb_ - fill_);
-        std::memcpy(current_.data() + fill_ * sizeof(R), records,
-                    take * sizeof(R));
-        fill_ += take;
-        body_written_ += take;
-        records += take;
-        n -= take;
-        if (fill_ == epb_) FlushBlock();
-        continue;
-      }
-      tail_.insert(tail_.end(), records, records + n);
-      n = 0;
+    // body_left_ opens only once the head is complete, so one compare
+    // routes the common span straight to the body.
+    if (n <= body_left_) {
+      body_.AppendSpan(records, n);
+      body_left_ -= n;
+      return;
     }
+    if (head_left_ > 0) {
+      size_t take = std::min<uint64_t>(n, head_left_);
+      head_.insert(head_.end(), records, records + take);
+      head_left_ -= take;
+      if (head_left_ == 0) body_left_ = body_size_;
+      records += take;
+      n -= take;
+    }
+    size_t take = std::min<uint64_t>(n, body_left_);
+    if (take > 0) {
+      body_.AppendSpan(records, take);
+      body_left_ -= take;
+      records += take;
+      n -= take;
+    }
+    if (n > 0) tail_.insert(tail_.end(), records, records + n);
   }
 
   void Finish() {
-    DEMSORT_CHECK_EQ(fill_, 0u) << "partition body not grid-aligned";
-    int64_t t0 = NowNanos();
-    while (!in_flight_.empty()) Reap();
-    io_wait_ns_ += NowNanos() - t0;
+    DEMSORT_CHECK_EQ(body_.pending_fill(), 0u)
+        << "partition body not grid-aligned";
+    body_.Finish();
   }
 
   const std::vector<R>& head() const { return head_; }
   const std::vector<R>& tail() const { return tail_; }
-  const std::vector<io::BlockId>& blocks() const { return blocks_; }
-  const std::vector<R>& block_first_records() const { return first_records_; }
-  uint64_t io_wait_ns() const { return io_wait_ns_; }
+  const std::vector<io::BlockId>& blocks() const { return body_.blocks(); }
+  const std::vector<R>& block_first_records() const {
+    return body_.block_first_records();
+  }
+  uint64_t io_wait_ns() const { return body_.io_wait_ns(); }
 
  private:
-  void FlushBlock() {
-    io::BlockId id = bm_->Allocate();
-    blocks_.push_back(id);
-    in_flight_.push_back(
-        {bm_->WriteAsync(id, current_.data()), std::move(current_)});
-    current_ = AlignedBuffer(bm_->block_size());
-    fill_ = 0;
-    while (in_flight_.size() > max_in_flight_) {
-      int64_t t0 = NowNanos();
-      Reap();
-      io_wait_ns_ += NowNanos() - t0;
+  io::StripedWriter<R> body_;
+  uint64_t head_left_ = 0;
+  uint64_t body_size_ = 0;
+  uint64_t body_left_ = 0;
+  std::vector<R> head_;
+  std::vector<R> tail_;
+};
+
+/// The one merge engine behind both entry points. Plans W range partitions
+/// of this PE's runs (W = 1 is the single partition: no cuts, no planner
+/// reads) and slices the segment lists; Run then merges every partition on
+/// the PE's pool (inline on the caller at W = 1), each with its own
+/// prefetcher over its slice. Consumes the extents (their blocks are freed
+/// as they are read).
+template <typename R>
+class PartitionedMerge {
+ public:
+  PartitionedMerge(PeContext& ctx, const SortConfig& config,
+                   std::vector<std::vector<Extent<R>>>& extents_per_run)
+      : ctx_(ctx), config_(config), num_runs_(extents_per_run.size()) {
+    const size_t epb = config.ElementsPerBlock<R>();
+    std::vector<std::vector<MergeSegment<R>>> segments =
+        BuildMergeSegments(extents_per_run, epb);
+    std::vector<std::vector<uint64_t>> prefix = SegmentPrefixSums(segments);
+    uint64_t total = 0;
+    for (const auto& p : prefix) total += p.back();
+    plan_ = PlanMergePartitions(ctx.bm, segments, prefix,
+                                EffectiveMergeWorkers(*ctx.pool, total, epb));
+    slices_.reserve(plan_.workers);
+    for (size_t t = 0; t < plan_.workers; ++t) {
+      slices_.push_back(SliceWorkerSegments(segments, prefix, plan_.cuts[t],
+                                            plan_.cuts[t + 1], plan_.preloads,
+                                            ctx.bm->block_size()));
     }
   }
 
-  void Reap() {
-    in_flight_.front().first.WaitOk();
-    in_flight_.pop_front();
+  size_t workers() const { return plan_.workers; }
+  uint64_t total() const { return plan_.offsets.back(); }
+
+  /// Runs `partition(t, offset, count, merge_into)` for t = 0..W-1, where
+  /// partition t owns global output range [offset, offset+count) and
+  /// `merge_into(emit)` streams its records in order as `emit(ptr, n)` spans.
+  /// `partition` returns its own I/O wait in ns (e.g. blocked writes),
+  /// which adds to its prefetcher's read waits; the workers' metrics are
+  /// summed into `stats`.
+  template <typename Partition>
+  void Run(PhaseStats* stats, Partition&& partition) {
+    std::vector<MergeWorkerMetrics> metrics(workers());
+    ctx_.pool->ParallelFor(workers(), [&](size_t t) {
+      const uint64_t offset = plan_.offsets[t];
+      const uint64_t count = plan_.offsets[t + 1] - offset;
+      TRACE_SPAN2("merge", "merge.partition", "worker", t, "elements", count);
+      auto& segs = slices_[t];
+      size_t live = 0;
+      for (const auto& run : segs) {
+        if (!run.empty()) ++live;
+      }
+      MergePrefetcher<R> prefetcher(
+          ctx_.bm, &segs,
+          WorkerPrefetchPool(config_, num_runs_, live, ctx_.bm->num_disks(),
+                             workers()));
+      uint64_t merged = 0;
+      auto merge_into = [&](auto&& emit) {
+        merged = MergeLoop(prefetcher, segs, emit);
+        DEMSORT_CHECK_EQ(merged, count);
+      };
+      int64_t t0 = NowNanos();
+      uint64_t own_wait_ns = partition(t, offset, count, merge_into);
+      metrics[t] = {merged, NowNanos() - t0,
+                    prefetcher.io_wait_ns() + own_wait_ns,
+                    prefetcher.demand_fetches()};
+    });
+    if (stats == nullptr) return;
+    stats->merge_workers = std::max<uint64_t>(stats->merge_workers, workers());
+    stats->merge_ways = std::max<uint64_t>(stats->merge_ways, num_runs_);
+    for (const MergeWorkerMetrics& m : metrics) {
+      stats->elements_merged += m.merged;
+      stats->demand_fetches += m.demand_fetches;
+      stats->merge_io_wait_ms += m.io_wait_ns * 1e-6;
+      int64_t cpu_ns = m.wall_ns - static_cast<int64_t>(m.io_wait_ns);
+      if (cpu_ns > 0) stats->merge_cpu_ms += cpu_ns * 1e-6;
+    }
   }
 
-  io::BlockManager* bm_;
-  size_t epb_;
-  size_t max_in_flight_;
-  uint64_t head_target_ = 0;
-  uint64_t body_target_ = 0;
-  uint64_t body_written_ = 0;
-  AlignedBuffer current_;
-  size_t fill_ = 0;
-  std::vector<R> head_;
-  std::vector<R> tail_;
-  std::vector<io::BlockId> blocks_;
-  std::vector<R> first_records_;
-  std::deque<std::pair<io::Request, AlignedBuffer>> in_flight_;
-  uint64_t io_wait_ns_ = 0;
+ private:
+  PeContext& ctx_;
+  const SortConfig& config_;
+  size_t num_runs_;
+  MergePlan<R> plan_;
+  std::vector<std::vector<std::vector<MergeSegment<R>>>> slices_;
 };
 
 }  // namespace internal
@@ -732,77 +768,23 @@ class PartitionBlockWriter {
 /// are read). Returns the number of records delivered. This is the engine
 /// behind the pipelined variant of §VII (sink = downstream consumer).
 ///
-/// With threads_per_pe > 1 the partitions merge concurrently but the sink
-/// still sees every record in global key order: workers buffer into a
-/// bounded staging vector until the sequence gate makes it their turn, then
-/// stream directly. The sink may therefore be called from changing worker
-/// threads (never concurrently; gate passes establish happens-before).
+/// The partitions merge concurrently but the sink still sees every record
+/// in global key order: each worker buffers into a bounded staging vector
+/// until the sequence gate makes it its turn, then streams directly (at
+/// W = 1 it is always partition 0's turn). The sink may therefore be
+/// called from changing worker threads (never concurrently; gate passes
+/// establish happens-before).
 template <typename R, typename Sink>
 uint64_t MergeExtentsToSink(PeContext& ctx, const SortConfig& config,
                             std::vector<std::vector<Extent<R>>>
                                 extents_per_run,
                             Sink&& sink, PhaseStats* stats = nullptr) {
-  using Segment = internal::MergeSegment<R>;
-  io::BlockManager* bm = ctx.bm;
-  const size_t epb = config.ElementsPerBlock<R>();
-  const size_t num_runs = extents_per_run.size();
-
-  std::vector<std::vector<Segment>> segments =
-      internal::BuildMergeSegments(extents_per_run, epb);
-  std::vector<std::vector<uint64_t>> prefix =
-      internal::SegmentPrefixSums(segments);
-  uint64_t total = 0;
-  size_t live_runs = 0;
-  for (size_t j = 0; j < num_runs; ++j) {
-    total += prefix[j].back();
-    if (prefix[j].back() > 0) ++live_runs;
-  }
-
-  const size_t workers = internal::EffectiveMergeWorkers(ctx.pool, total, epb);
-  if (workers <= 1) {
-    TRACE_SPAN2("merge", "merge.partition", "worker", 0, "elements", total);
-    internal::MergePrefetcher<R> prefetcher(
-        bm, &segments,
-        internal::WorkerPrefetchPool(config, num_runs, live_runs,
-                                     bm->num_disks(), 1));
-    int64_t t0 = NowNanos();
-    uint64_t merged = internal::MergeLoop(
-        prefetcher, segments, [&sink](const R* records, size_t n) {
-          for (size_t i = 0; i < n; ++i) sink(records[i]);
-        });
-    DEMSORT_CHECK_EQ(merged, total);
-    std::vector<internal::MergeWorkerMetrics> ms(1);
-    ms[0] = {merged, NowNanos() - t0, prefetcher.io_wait_ns(),
-             prefetcher.demand_fetches()};
-    internal::AccumulateMergeMetrics(stats, 1, num_runs, ms);
-    return merged;
-  }
-
-  internal::MergePlan<R> plan =
-      internal::PlanMergePartitions(bm, segments, prefix, workers);
-  std::vector<std::vector<std::vector<Segment>>> slices(workers);
-  for (size_t t = 0; t < workers; ++t) {
-    slices[t] = internal::SliceWorkerSegments(
-        segments, prefix, plan.cuts[t], plan.cuts[t + 1], plan.preloads,
-        bm->block_size());
-  }
-
+  internal::PartitionedMerge<R> merge(ctx, config, extents_per_run);
   par::SequenceGate gate;
-  const size_t pending_cap = std::max<size_t>(
-      config.memory_per_pe / sizeof(R) / workers, epb);
-  std::vector<internal::MergeWorkerMetrics> metrics(workers);
-  ctx.pool->ParallelFor(workers, [&](size_t t) {
-    TRACE_SPAN2("merge", "merge.partition", "worker", t, "elements",
-                plan.offsets[t + 1] - plan.offsets[t]);
-    auto& segs = slices[t];
-    size_t live = 0;
-    for (const auto& run : segs) {
-      if (!run.empty()) ++live;
-    }
-    internal::MergePrefetcher<R> prefetcher(
-        bm, &segs,
-        internal::WorkerPrefetchPool(config, num_runs, live, bm->num_disks(),
-                                     workers));
+  const size_t pending_cap =
+      std::max<size_t>(config.memory_per_pe / sizeof(R) / merge.workers(),
+                       config.ElementsPerBlock<R>());
+  merge.Run(stats, [&](size_t t, uint64_t, uint64_t, auto& merge_into) {
     std::vector<R> pending;
     bool direct = false;
     auto flush_pending = [&] {
@@ -810,7 +792,7 @@ uint64_t MergeExtentsToSink(PeContext& ctx, const SortConfig& config,
       pending.clear();
       pending.shrink_to_fit();
     };
-    auto deliver = [&](const R* records, size_t n) {
+    merge_into([&](const R* records, size_t n) {
       if (!direct && gate.IsTurn(t)) {
         flush_pending();
         direct = true;
@@ -828,129 +810,63 @@ uint64_t MergeExtentsToSink(PeContext& ctx, const SortConfig& config,
         flush_pending();
         direct = true;
       }
-    };
-    int64_t t0 = NowNanos();
-    uint64_t merged = internal::MergeLoop(prefetcher, segs, deliver);
-    DEMSORT_CHECK_EQ(merged, plan.offsets[t + 1] - plan.offsets[t]);
+    });
     gate.WaitTurn(t);
     if (!direct) flush_pending();
     gate.Advance();
-    metrics[t] = {merged, NowNanos() - t0, prefetcher.io_wait_ns(),
-                  prefetcher.demand_fetches()};
+    return uint64_t{0};
   });
-
-  internal::AccumulateMergeMetrics(stats, workers, num_runs, metrics);
-  return total;
+  return merge.total();
 }
 
 /// Merges this PE's extent chains into a locally striped sorted output.
-/// Consumes the extents (their blocks are freed as they are read). With
-/// threads_per_pe > 1 the partitions are merged and written concurrently,
-/// then stitched: the output manifest (block order, first records, tail
-/// fill) matches the single-threaded engine's exactly.
+/// Consumes the extents (their blocks are freed as they are read). Each
+/// partition writes the full blocks of its grid-aligned body itself; the
+/// stitching pass then writes the head/tail boundary spans in partition
+/// order and adopts the body blocks in between, so the output manifest
+/// (block order, first records, tail fill) is that of one sequential merge
+/// at every worker count.
 template <typename R>
 MergeOutput<R> FinalMerge(PeContext& ctx, const SortConfig& config,
                           std::vector<std::vector<Extent<R>>> extents_per_run,
                           PhaseStats* stats = nullptr) {
-  using Segment = internal::MergeSegment<R>;
   io::BlockManager* bm = ctx.bm;
-  const size_t epb = config.ElementsPerBlock<R>();
-  const size_t num_runs = extents_per_run.size();
+  internal::PartitionedMerge<R> merge(ctx, config, extents_per_run);
+  const size_t workers = merge.workers();
+  std::vector<std::unique_ptr<internal::PartitionBlockWriter<R>>> parts(
+      workers);
+  const size_t write_window =
+      std::max<size_t>(2, 2 * bm->num_disks() / workers);
+  merge.Run(stats, [&](size_t t, uint64_t offset, uint64_t count,
+                       auto& merge_into) {
+    parts[t] = std::make_unique<internal::PartitionBlockWriter<R>>(
+        bm, config.ElementsPerBlock<R>(), offset, count, write_window);
+    internal::PartitionBlockWriter<R>& part = *parts[t];
+    merge_into(
+        [&part](const R* records, size_t n) { part.Append(records, n); });
+    part.Finish();
+    return part.io_wait_ns();
+  });
 
-  std::vector<std::vector<Segment>> segments =
-      internal::BuildMergeSegments(extents_per_run, epb);
-  std::vector<std::vector<uint64_t>> prefix =
-      internal::SegmentPrefixSums(segments);
-  uint64_t total = 0;
-  size_t live_runs = 0;
-  for (size_t j = 0; j < num_runs; ++j) {
-    total += prefix[j].back();
-    if (prefix[j].back() > 0) ++live_runs;
-  }
-
-  const size_t workers = internal::EffectiveMergeWorkers(ctx.pool, total, epb);
+  // Stitch: head span, adopted body blocks, tail span — in partition order
+  // the concatenation is exactly the sequential merge's stream.
   io::StripedWriter<R> writer(bm);
-
-  if (workers <= 1) {
-    TRACE_SPAN2("merge", "merge.partition", "worker", 0, "elements", total);
-    internal::MergePrefetcher<R> prefetcher(
-        bm, &segments,
-        internal::WorkerPrefetchPool(config, num_runs, live_runs,
-                                     bm->num_disks(), 1));
-    int64_t t0 = NowNanos();
-    uint64_t merged = internal::MergeLoop(
-        prefetcher, segments, [&writer](const R* records, size_t n) {
-          writer.AppendSpan(records, n);
-        });
-    DEMSORT_CHECK_EQ(merged, total);
-    writer.Finish();
-    std::vector<internal::MergeWorkerMetrics> ms(1);
-    ms[0] = {merged, NowNanos() - t0, prefetcher.io_wait_ns(),
-             prefetcher.demand_fetches()};
-    internal::AccumulateMergeMetrics(stats, 1, num_runs, ms);
-  } else {
-    internal::MergePlan<R> plan =
-        internal::PlanMergePartitions(bm, segments, prefix, workers);
-    std::vector<std::vector<std::vector<Segment>>> slices(workers);
-    for (size_t t = 0; t < workers; ++t) {
-      slices[t] = internal::SliceWorkerSegments(
-          segments, prefix, plan.cuts[t], plan.cuts[t + 1], plan.preloads,
-          bm->block_size());
+  for (const auto& part : parts) {
+    if (!part->head().empty()) {
+      writer.AppendSpan(part->head().data(), part->head().size());
     }
-
-    std::vector<std::unique_ptr<internal::PartitionBlockWriter<R>>> parts(
-        workers);
-    std::vector<internal::MergeWorkerMetrics> metrics(workers);
-    const size_t write_window =
-        std::max<size_t>(2, 2 * bm->num_disks() / workers);
-    ctx.pool->ParallelFor(workers, [&](size_t t) {
-      TRACE_SPAN2("merge", "merge.partition", "worker", t, "elements",
-                  plan.offsets[t + 1] - plan.offsets[t]);
-      auto& segs = slices[t];
-      size_t live = 0;
-      for (const auto& run : segs) {
-        if (!run.empty()) ++live;
-      }
-      internal::MergePrefetcher<R> prefetcher(
-          bm, &segs,
-          internal::WorkerPrefetchPool(config, num_runs, live,
-                                       bm->num_disks(), workers));
-      parts[t] = std::make_unique<internal::PartitionBlockWriter<R>>(
-          bm, epb, plan.offsets[t], plan.offsets[t + 1] - plan.offsets[t],
-          write_window);
-      int64_t t0 = NowNanos();
-      uint64_t merged = internal::MergeLoop(
-          prefetcher, segs,
-          [&](const R* records, size_t n) { parts[t]->Append(records, n); });
-      DEMSORT_CHECK_EQ(merged, plan.offsets[t + 1] - plan.offsets[t]);
-      parts[t]->Finish();
-      metrics[t] = {merged, NowNanos() - t0,
-                    prefetcher.io_wait_ns() + parts[t]->io_wait_ns(),
-                    prefetcher.demand_fetches()};
-    });
-
-    // Stitch: head span, adopted body blocks, tail span — in partition
-    // order the concatenation is exactly the sequential merge's stream, so
-    // the writer reproduces the same manifest.
-    for (size_t t = 0; t < workers; ++t) {
-      internal::PartitionBlockWriter<R>& pw = *parts[t];
-      if (!pw.head().empty()) {
-        writer.AppendSpan(pw.head().data(), pw.head().size());
-      }
-      if (!pw.blocks().empty()) {
-        writer.AdoptFullBlocks(pw.blocks().data(),
-                               pw.block_first_records().data(),
-                               pw.blocks().size());
-      }
-      if (!pw.tail().empty()) {
-        writer.AppendSpan(pw.tail().data(), pw.tail().size());
-      }
+    if (!part->blocks().empty()) {
+      writer.AdoptFullBlocks(part->blocks().data(),
+                             part->block_first_records().data(),
+                             part->blocks().size());
     }
-    writer.Finish();
-    internal::AccumulateMergeMetrics(stats, workers, num_runs, metrics);
+    if (!part->tail().empty()) {
+      writer.AppendSpan(part->tail().data(), part->tail().size());
+    }
   }
+  writer.Finish();
 
-  DEMSORT_CHECK_EQ(writer.total_appended(), total);
+  DEMSORT_CHECK_EQ(writer.total_appended(), merge.total());
   MergeOutput<R> out;
   out.blocks = writer.blocks();
   out.block_first_records = writer.block_first_records();

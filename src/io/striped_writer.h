@@ -12,6 +12,7 @@
 #include "io/request.h"
 #include "util/aligned_buffer.h"
 #include "util/logging.h"
+#include "util/timer.h"
 
 namespace demsort::io {
 
@@ -54,10 +55,10 @@ class StripedWriter {
 
   /// Splices `count` already-written full blocks (with their first records)
   /// into the output stream, as if their contents had been Append'ed here.
-  /// Used by the parallel final merge: workers write the grid-aligned body
-  /// of their partition directly, and the stitching pass adopts those
-  /// blocks between the boundary spans it writes itself. Only legal on a
-  /// block boundary (no partial fill pending).
+  /// Used by the final merge: workers write the grid-aligned body of their
+  /// partition directly, and the stitching pass adopts those blocks between
+  /// the boundary spans it writes itself. Only legal on a block boundary
+  /// (no partial fill pending).
   void AdoptFullBlocks(const BlockId* ids, const R* firsts, size_t count) {
     DEMSORT_CHECK_EQ(fill_, 0u) << "adoption must land on a block boundary";
     blocks_.insert(blocks_.end(), ids, ids + count);
@@ -81,6 +82,8 @@ class StripedWriter {
   /// Elements in the last block (== epb unless the total is not a multiple
   /// of the block capacity). Valid after Finish().
   size_t last_block_fill() const { return final_fill_; }
+  /// Time spent blocked reaping writes (a full window, or Finish).
+  uint64_t io_wait_ns() const { return io_wait_ns_; }
 
  private:
   void Flush() {
@@ -94,7 +97,9 @@ class StripedWriter {
   }
 
   void Reap() {
+    int64_t t0 = NowNanos();
     in_flight_.front().first.WaitOk();
+    io_wait_ns_ += NowNanos() - t0;
     in_flight_.pop_front();
   }
 
@@ -108,6 +113,7 @@ class StripedWriter {
   std::vector<BlockId> blocks_;
   std::vector<R> first_records_;
   std::deque<std::pair<Request, AlignedBuffer>> in_flight_;
+  uint64_t io_wait_ns_ = 0;
 };
 
 }  // namespace demsort::io

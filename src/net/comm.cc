@@ -1156,8 +1156,7 @@ void Comm::AlltoallvStreamTwoLevel(const StreamSendProvider& send_for,
       std::vector<HierAggEntry> entries;
       size_t entry_idx = 0;
       uint64_t seg_sent = 0;
-      std::vector<uint8_t> buf;  // split tails only (the slow path)
-      size_t off = 0;
+      std::vector<uint8_t> buf;  // a split tail awaiting the next chunk
     };
     std::vector<NodeDemux> demux(N);
     const uint64_t align = tune.align_bytes;
@@ -1203,75 +1202,14 @@ void Comm::AlltoallvStreamTwoLevel(const StreamSendProvider& send_for,
         sends.push_back(std::move(sr));
       }
     };
-    auto advance = [&](NodeDemux& dx) {
-      auto avail = [&] { return dx.buf.size() - dx.off; };
-      if (!dx.have_count) {
-        if (avail() < sizeof(uint64_t)) return;
-        std::memcpy(&dx.entry_count, dx.buf.data() + dx.off,
-                    sizeof(uint64_t));
-        dx.off += sizeof(uint64_t);
-        dx.have_count = true;
-        dx.entries.reserve(static_cast<size_t>(dx.entry_count));
-        dx.pad_left = AggHeaderPad(dx.entry_count, align);
-      }
-      while (dx.entries.size() < dx.entry_count &&
-             avail() >= sizeof(HierAggEntry)) {
-        HierAggEntry e;
-        std::memcpy(&e, dx.buf.data() + dx.off, sizeof(e));
-        dx.off += sizeof(e);
-        dx.entries.push_back(e);
-      }
-      if (dx.entries.size() < dx.entry_count) return;
-      if (dx.pad_left > 0) {
-        const size_t skip = std::min<size_t>(dx.pad_left, avail());
-        dx.off += skip;
-        dx.pad_left -= skip;
-        if (dx.pad_left > 0) return;
-      }
-      while (dx.entry_idx < dx.entries.size()) {
-        const HierAggEntry& e = dx.entries[dx.entry_idx];
-        if (e.bytes == 0) {
-          forward(e, {}, true);
-          ++dx.entry_idx;
-          continue;
-        }
-        const uint64_t remaining = e.bytes - dx.seg_sent;
-        uint64_t take = std::min<uint64_t>(avail(), remaining);
-        if (take < remaining) {
-          take = take / align * align;  // whole records only mid-segment
-          if (take == 0) return;
-        }
-        for (uint64_t done = 0; done < take;) {
-          const uint64_t n =
-              std::min<uint64_t>(tune.max_chunk_bytes, take - done);
-          forward(e, std::span<const uint8_t>(dx.buf.data() + dx.off, n),
-                  dx.seg_sent + done + n == e.bytes);
-          dx.off += n;
-          done += n;
-        }
-        dx.seg_sent += take;
-        if (dx.seg_sent == e.bytes) {
-          ++dx.entry_idx;
-          dx.seg_sent = 0;
-        }
-      }
-      if (dx.off == dx.buf.size()) {
-        dx.buf.clear();
-        dx.off = 0;
-      } else if (dx.off >= (size_t{64} << 10)) {
-        dx.buf.erase(dx.buf.begin(),
-                     dx.buf.begin() + static_cast<ptrdiff_t>(dx.off));
-        dx.off = 0;
-      }
-    };
-    // In-place demux of one landed chunk frame (the fast path, taken
-    // whenever no split tail is buffered). Framing units — count, entry
-    // table, header pad — are parsed with Frame::Consume; payload bytes
-    // are forwarded either as the moved frame (chunk entirely inside one
-    // segment, the common case with aligned streams) or as a span cut at
-    // the segment boundary. Whatever cannot make whole-unit progress is
-    // stashed into dx.buf, flipping that node to the buffered path until
-    // the tail drains.
+    // In-place demux of one landed chunk frame — the one aggregate parser.
+    // Framing units — count, entry table, header pad — are parsed with
+    // Frame::Consume; payload bytes are forwarded either as the moved frame
+    // (chunk entirely inside one segment, the common case with aligned
+    // streams) or as a span cut at the segment boundary. Whatever cannot
+    // make whole-unit progress is stashed into dx.buf; the node's next
+    // chunk is appended to it and the joined bytes come back here as one
+    // frame.
     auto in_place = [&](NodeDemux& dx, Frame frame) {
       auto stash_rest = [&](Frame& f) {
         dx.buf.insert(dx.buf.end(), f.data(), f.data() + f.size());
@@ -1415,16 +1353,18 @@ void Comm::AlltoallvStreamTwoLevel(const StreamSendProvider& send_for,
           if (dx.buf.empty()) {
             in_place(dx, std::move(chunk));
           } else {
-            // A split tail is buffered: stay on the buffered path until it
-            // drains (advance clears dx.buf at the next whole boundary).
-            dx.buf.insert(dx.buf.end(), chunk.data(),
+            // A split tail is stashed: complete it with this chunk and parse
+            // the joined bytes as one frame (its own leftover re-stashes).
+            std::vector<uint8_t> joined = std::move(dx.buf);
+            dx.buf.clear();
+            joined.insert(joined.end(), chunk.data(),
                           chunk.data() + chunk.size());
-            advance(dx);
+            in_place(dx, Frame(std::move(joined)));
           }
           if (last) {
             DEMSORT_CHECK(dx.have_count);
             DEMSORT_CHECK_EQ(dx.pad_left, 0u);
-            DEMSORT_CHECK_EQ(dx.off, dx.buf.size())
+            DEMSORT_CHECK(dx.buf.empty())
                 << "trailing aggregate bytes from node " << nd;
             DEMSORT_CHECK_EQ(dx.entry_idx, dx.entries.size());
             DEMSORT_CHECK_EQ(dx.entries.size(), dx.entry_count);

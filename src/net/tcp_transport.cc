@@ -805,36 +805,49 @@ TcpCluster::SupervisedResult TcpCluster::RunSupervised(
   return sr;
 }
 
+namespace {
+
+// The harness options each transport kind runs under, mapped from the one
+// Cluster::Options the callers fill in.
+TcpTransport::Options TcpOptionsFor(const Cluster::Options& options) {
+  DEMSORT_CHECK_EQ(options.channel_cap_bytes, 0u)
+      << "channel caps apply to the in-process fabric only";
+  TcpTransport::Options tcp_options;
+  tcp_options.recv_watermark_bytes = options.tcp_recv_watermark_bytes;
+  tcp_options.connect_timeout_ms = options.tcp_connect_timeout_ms;
+  tcp_options.pool_budget_bytes = options.pool_budget_bytes;
+  return tcp_options;
+}
+
+HierCluster::Options HierOptionsFor(const Cluster::Options& options) {
+  HierCluster::Options hier_options;
+  if (!options.node_sizes.empty()) {
+    auto topo = Topology::FromNodeSizes(options.node_sizes);
+    DEMSORT_CHECK_OK(topo.status());
+    DEMSORT_CHECK_EQ(topo.value().num_pes(), options.num_pes)
+        << "node sizes must sum to num_pes";
+    hier_options.topology = std::move(topo).value();
+  } else {
+    hier_options.topology = Topology::Uniform(
+        options.num_pes, options.pes_per_node > 0 ? options.pes_per_node : 2);
+  }
+  // The fabric channel cap bounds the node-to-node uplink channels and the
+  // tcp watermark maps onto the demux pause — both backpressure knobs
+  // translate to their hierarchical equivalents.
+  hier_options.uplink_channel_cap_bytes = options.channel_cap_bytes;
+  hier_options.recv_watermark_bytes = options.tcp_recv_watermark_bytes;
+  hier_options.pool_budget_bytes = options.pool_budget_bytes;
+  return hier_options;
+}
+
+}  // namespace
+
 void RunOverTransport(TransportKind kind, const Cluster::Options& options,
                       const TcpCluster::PeBody& body) {
   if (kind == TransportKind::kTcp) {
-    DEMSORT_CHECK_EQ(options.channel_cap_bytes, 0u)
-        << "channel caps apply to the in-process fabric only";
-    TcpTransport::Options tcp_options;
-    tcp_options.recv_watermark_bytes = options.tcp_recv_watermark_bytes;
-    tcp_options.connect_timeout_ms = options.tcp_connect_timeout_ms;
-    tcp_options.pool_budget_bytes = options.pool_budget_bytes;
-    TcpCluster::RunWithStats(options.num_pes, body, tcp_options);
+    TcpCluster::RunWithStats(options.num_pes, body, TcpOptionsFor(options));
   } else if (kind == TransportKind::kHier) {
-    HierCluster::Options hier_options;
-    if (!options.node_sizes.empty()) {
-      auto topo = Topology::FromNodeSizes(options.node_sizes);
-      DEMSORT_CHECK_OK(topo.status());
-      DEMSORT_CHECK_EQ(topo.value().num_pes(), options.num_pes)
-          << "node sizes must sum to num_pes";
-      hier_options.topology = std::move(topo).value();
-    } else {
-      hier_options.topology = Topology::Uniform(
-          options.num_pes,
-          options.pes_per_node > 0 ? options.pes_per_node : 2);
-    }
-    // The fabric channel cap bounds the node-to-node uplink channels and
-    // the tcp watermark maps onto the demux pause — both backpressure
-    // knobs translate to their hierarchical equivalents.
-    hier_options.uplink_channel_cap_bytes = options.channel_cap_bytes;
-    hier_options.recv_watermark_bytes = options.tcp_recv_watermark_bytes;
-    hier_options.pool_budget_bytes = options.pool_budget_bytes;
-    HierCluster::Run(hier_options, body);
+    HierCluster::Run(HierOptionsFor(options), body);
   } else {
     DEMSORT_CHECK_EQ(options.tcp_recv_watermark_bytes, 0u)
         << "the reader watermark applies to the tcp and hier transports only";
@@ -847,33 +860,13 @@ int RunSupervisedOverTransport(TransportKind kind,
                                const RecoveryOptions& recovery,
                                const TcpCluster::PeBody& body) {
   if (kind == TransportKind::kTcp) {
-    DEMSORT_CHECK_EQ(options.channel_cap_bytes, 0u)
-        << "channel caps apply to the in-process fabric only";
-    TcpTransport::Options tcp_options;
-    tcp_options.recv_watermark_bytes = options.tcp_recv_watermark_bytes;
-    tcp_options.connect_timeout_ms = options.tcp_connect_timeout_ms;
-    tcp_options.pool_budget_bytes = options.pool_budget_bytes;
     return TcpCluster::RunSupervised(options.num_pes, body, recovery,
-                                     tcp_options)
+                                     TcpOptionsFor(options))
         .restarts;
   }
   if (kind == TransportKind::kHier) {
-    HierCluster::Options hier_options;
-    if (!options.node_sizes.empty()) {
-      auto topo = Topology::FromNodeSizes(options.node_sizes);
-      DEMSORT_CHECK_OK(topo.status());
-      DEMSORT_CHECK_EQ(topo.value().num_pes(), options.num_pes)
-          << "node sizes must sum to num_pes";
-      hier_options.topology = std::move(topo).value();
-    } else {
-      hier_options.topology = Topology::Uniform(
-          options.num_pes,
-          options.pes_per_node > 0 ? options.pes_per_node : 2);
-    }
-    hier_options.uplink_channel_cap_bytes = options.channel_cap_bytes;
-    hier_options.recv_watermark_bytes = options.tcp_recv_watermark_bytes;
-    hier_options.pool_budget_bytes = options.pool_budget_bytes;
-    return HierCluster::RunSupervised(hier_options, recovery, body).restarts;
+    return HierCluster::RunSupervised(HierOptionsFor(options), recovery, body)
+        .restarts;
   }
   DEMSORT_CHECK_EQ(options.tcp_recv_watermark_bytes, 0u)
       << "the reader watermark applies to the tcp and hier transports only";

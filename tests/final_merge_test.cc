@@ -235,6 +235,13 @@ std::vector<std::pair<uint64_t, uint64_t>> AsPairs(
   return out;
 }
 
+/// Workers the merge engine must use for `n` elements under `cfg`.
+size_t ExpectedMergeWorkers(const SortConfig& cfg, size_t n) {
+  const size_t epb = cfg.ElementsPerBlock<KV16>();
+  return std::min<size_t>(cfg.threads_per_pe,
+                          std::max<size_t>(1, n / (2 * epb)));
+}
+
 /// Feeds `mc` through FinalMerge under the given engine settings and
 /// asserts the output is byte-identical to the oracle: the record stream,
 /// the per-block first records, and the tail fill must all match exactly,
@@ -275,10 +282,8 @@ void CheckEngineMatchesOracle(SortConfig config, const MergeCase& mc) {
     size_t tail = mc.expect.size() % epb;
     EXPECT_EQ(out.last_block_fill, tail == 0 ? epb : tail);
 
-    size_t expect_workers =
-        std::min<size_t>(cfg.threads_per_pe,
-                         std::max<size_t>(1, mc.expect.size() / (2 * epb)));
-    EXPECT_EQ(stats.merge_workers, expect_workers);
+    EXPECT_EQ(stats.merge_workers,
+              ExpectedMergeWorkers(cfg, mc.expect.size()));
   });
 }
 
@@ -332,12 +337,14 @@ TEST(ParallelMergeTest, SingleRunStreamsThroughAllWorkers) {
                                                   /*seed=*/8));
 }
 
-TEST(ParallelMergeTest, OrderedSinkSeesGlobalOrder) {
-  // MergeExtentsToSink with a parallel pool: the sink must observe the
+class ParallelMergeSinkTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(ParallelMergeSinkTest, OrderedSinkSeesGlobalOrder) {
+  // MergeExtentsToSink at every worker count: the sink must observe the
   // exact sequential merge order even though partitions are merged
   // concurrently (workers hand over through the sequence gate).
   SortConfig config = test::SmallConfig();
-  config.threads_per_pe = 4;
+  config.threads_per_pe = GetParam();
   MergeCase mc = BuildMergeCase(6, 1400, 50000, /*seed=*/99);
   test::RunPes(1, config, [&](PeContext& ctx, const SortConfig& cfg) {
     std::vector<std::vector<Extent<KV16>>> extents(mc.runs.size());
@@ -352,10 +359,14 @@ TEST(ParallelMergeTest, OrderedSinkSeesGlobalOrder) {
         [&seen](const KV16& r) { seen.push_back(r); }, &stats);
     EXPECT_EQ(n, mc.expect.size());
     ASSERT_EQ(AsPairs(seen), AsPairs(mc.expect));
-    EXPECT_GT(stats.merge_workers, 1u);
+    EXPECT_EQ(stats.merge_workers,
+              ExpectedMergeWorkers(cfg, mc.expect.size()));
     EXPECT_GT(stats.merge_cpu_ms + stats.merge_io_wait_ms, 0.0);
   });
 }
+
+INSTANTIATE_TEST_SUITE_P(Threads, ParallelMergeSinkTest,
+                         ::testing::Values(1, 2, 4));
 
 TEST(ParallelMergeTest, ParallelMergeStillFreesConsumedBlocks) {
   SortConfig config = test::SmallConfig();

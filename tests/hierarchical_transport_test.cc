@@ -148,18 +148,19 @@ void StreamBody(Comm& comm, StreamOptions options) {
 }
 
 TEST(HierarchicalTransportTest, StreamingChunkRangesAcrossShapes) {
-  // The chunk range pinned to StreamBody's 64-byte chunk, and the
-  // controller's default range around it.
+  // The chunk range pinned to StreamBody's 64-byte chunk; pinned to 8 bytes,
+  // where a leader aggregate's entry table spans several leader chunks (the
+  // demux's split-tail path); and the controller's default range (pin 0).
   for (const auto& shape : TestShapes()) {
     Topology topo = ShapeTopo(shape);
-    for (bool pinned : {true, false}) {
-      SCOPED_TRACE("shape " + topo.ToString() +
-                   (pinned ? " pinned" : " adaptive"));
+    for (uint64_t pin : {64, 8, 0}) {
+      SCOPED_TRACE("shape " + topo.ToString() + " pin " +
+                   std::to_string(pin));
       HierCluster::Run(topo, [&](Comm& comm) {
         StreamOptions options;
-        if (pinned) {
-          options.min_chunk_bytes = 64;
-          options.max_chunk_bytes = 64;
+        if (pin != 0) {
+          options.min_chunk_bytes = pin;
+          options.max_chunk_bytes = pin;
         }
         StreamBody(comm, options);
       });
