@@ -45,8 +45,8 @@ struct SortConfig {
   size_t stream_chunk_max_bytes = 0;
   /// Prefetch buffer pool of the final merge, in blocks; 0 = auto. Blocks
   /// are fetched in the prediction order (ascending smallest key). With W
-  /// merge workers the pool is split across partitions (floor: 2 blocks per
-  /// live run per worker).
+  /// merge workers each gets a buffer per live run plus a 1/W share (at
+  /// least 2) of the read-ahead beyond the runs (see WorkerPrefetchPool).
   size_t prefetch_buffers = 0;
   /// Overlap I/O with sorting during run formation (§IV-E Overlapping).
   bool overlap_run_formation = true;

@@ -4,29 +4,31 @@
 //
 // Block fetches are driven by a prediction sequence — the first record of
 // every physical block, consumed in ascending key order ([11]'s variant of
-// [14]'s technique) — through a bounded buffer pool; a reader that outruns
-// the prediction demand-fetches, so the prediction quality affects only
-// performance, never correctness. Consumed blocks are freed immediately,
-// keeping the merge (nearly) in place.
+// [14]'s technique) — through a bounded pool of reused buffers; a reader that
+// outruns the prediction demand-fetches, so the prediction quality affects
+// only performance, never correctness. A disk block is freed as soon as the
+// merge starts on its buffered copy, so the output writer reuses it and the
+// merge stays (nearly) in place.
 //
 // One engine at every worker count W: the merge is range-partitioned across the
 // PE's thread pool, and W = 1 is simply the single partition — no pivots, no
 // cuts, no planner reads, merged inline on the caller. Pivot keys are picked
 // from the prediction sequence (the per-block first_record index, weighted by
-// block fill) at output ranks t*N/W, then refined to EXACT per-run cuts: within
-// each run, the single block possibly straddling the pivot is read once and
-// lower-bound'ed by pure key order, so partition t receives exactly the records
-// with key < pivot_{t+1} (ties all land right of the cut). Cuts are therefore
-// globally consistent and concatenating the partitions reproduces the
-// sequential merge record for record. Each worker drives its own sentinel loser
-// tree + prefetcher over its private slice of the segment lists; boundary
-// blocks shared by adjacent workers are handed out as preloaded copies of the
-// planner's read (never re-fetched, freed exactly once by the worker consuming
-// the block's tail). Workers write the grid-aligned body of their output
-// partition directly through their own striped writer; the main thread stitches
-// head/tail boundary spans through the output's striped writer and adopts the
-// body blocks in between, so the output manifest (ordered block list + first
-// records + tail fill) is that of one sequential merge whatever W is.
+// block fill) where the estimated output rank is nearest t*N/W, then refined to
+// EXACT per-run cuts: within each run, the single block possibly straddling the
+// pivot is read once and lower-bound'ed by pure key order, so partition t
+// receives exactly the records with key < pivot_{t+1} (ties all land right of
+// the cut). Cuts are therefore globally consistent and concatenating the
+// partitions reproduces the sequential merge record for record. Each worker
+// drives its own sentinel loser tree + prefetcher over its private slice of the
+// segment lists; boundary blocks shared by adjacent workers are handed out as
+// the planner's buffered read, shared by both (never re-fetched; the disk block
+// is freed exactly once, by the worker consuming the block's tail). Workers
+// write the grid-aligned body of their output partition directly through their
+// own striped writer; the main thread stitches head/tail boundary spans through
+// the output's striped writer and adopts the body blocks in between, so the
+// output manifest (ordered block list + first records + tail fill) is that of
+// one sequential merge whatever W is.
 //
 // The inner loop is batched: one loser-tree replay per span, where a span
 // is every consecutive winner record up to the runner-up's head (galloped
@@ -38,7 +40,6 @@
 #define DEMSORT_CORE_FINAL_MERGE_H_
 
 #include <algorithm>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <utility>
@@ -79,13 +80,17 @@ struct MergeSegment {
   /// False for a boundary block whose tail is consumed by a later worker:
   /// only the tail consumer frees, so every block is freed exactly once.
   bool free_block = true;
-  /// The planner already read this block; `buffer` is filled and `request`
-  /// complete, so the prefetcher must neither fetch it nor count it against
-  /// a pool slot it acquired itself.
-  bool preloaded = false;
+  /// The planner's read of this block, shared with the adjacent worker: the
+  /// prefetcher neither fetches it nor counts it against its pool.
+  std::shared_ptr<const AlignedBuffer> preload;
   // Fetch state.
-  enum State : uint8_t { kNotIssued, kInFlight, kReleased } state = kNotIssued;
-  AlignedBuffer buffer;
+  enum State : uint8_t {
+    kNotIssued,
+    kInFlight,  // read issued into `buffer`
+    kAcquired,  // being merged; the disk block is already freed
+    kReleased,
+  } state = kNotIssued;
+  AlignedBuffer buffer;  // a prefetcher pool buffer while issued or acquired
   io::Request request;
 };
 
@@ -111,6 +116,9 @@ std::vector<std::pair<size_t, size_t>> PredictionOrder(
   return order;
 }
 
+/// Reads one worker's segments ahead of its merge in prediction order, with
+/// at most `pool_size` of its own buffers out (issued or being merged; a
+/// demand fetch may exceed it). Buffers are allocated once and recycled.
 template <typename R>
 class MergePrefetcher {
  public:
@@ -121,24 +129,21 @@ class MergePrefetcher {
         segments_(segments),
         pool_size_(pool_size),
         prediction_(PredictionOrder(*segments)) {
-    // Preloaded segments arrive complete; count them so pool accounting
-    // stays balanced when Release decrements.
-    for (auto& run : *segments_) {
-      for (auto& seg : run) {
-        if (seg.preloaded) {
-          DEMSORT_CHECK(seg.state == MergeSegment<R>::kInFlight);
-          ++outstanding_;
-        }
-      }
-    }
     FillFromPrediction();
   }
 
   /// Blocking access to segment (run, idx)'s records; demand-fetches if the
-  /// prediction has not reached it yet.
+  /// prediction has not reached it yet. The records stay valid until
+  /// Release, but the disk block is freed here: its contents are in memory.
   const R* Acquire(size_t run, size_t idx) {
     MergeSegment<R>& seg = (*segments_)[run][idx];
-    DEMSORT_CHECK(seg.state != MergeSegment<R>::kReleased);
+    DEMSORT_CHECK(seg.state == MergeSegment<R>::kNotIssued ||
+                  seg.state == MergeSegment<R>::kInFlight);
+    if (seg.preload != nullptr) {
+      seg.state = MergeSegment<R>::kAcquired;
+      if (seg.free_block) bm_->Free(seg.block);
+      return reinterpret_cast<const R*>(seg.preload->data()) + seg.skip;
+    }
     if (seg.state == MergeSegment<R>::kNotIssued) {
       ++demand_fetches_;
       // A demand fetch means the prediction sequence fell behind the
@@ -154,18 +159,23 @@ class MergePrefetcher {
     } else {
       seg.request.WaitOk();
     }
+    seg.state = MergeSegment<R>::kAcquired;
+    if (seg.free_block) bm_->Free(seg.block);
     return reinterpret_cast<const R*>(seg.buffer.data()) + seg.skip;
   }
 
-  /// Declares segment consumed: frees its buffer and (when this reader owns
-  /// it) its disk block, and lets the prediction issue the next fetch.
+  /// Declares segment consumed: recycles its buffer and lets the prediction
+  /// issue the next fetch.
   void Release(size_t run, size_t idx) {
     MergeSegment<R>& seg = (*segments_)[run][idx];
-    DEMSORT_CHECK(seg.state == MergeSegment<R>::kInFlight);
+    DEMSORT_CHECK(seg.state == MergeSegment<R>::kAcquired);
     seg.state = MergeSegment<R>::kReleased;
-    seg.buffer = AlignedBuffer();
+    if (seg.preload != nullptr) {
+      seg.preload.reset();
+      return;
+    }
+    free_buffers_.push_back(std::move(seg.buffer));
     --outstanding_;
-    if (seg.free_block) bm_->Free(seg.block);
     FillFromPrediction();
   }
 
@@ -178,7 +188,12 @@ class MergePrefetcher {
     MergeSegment<R>& seg = (*segments_)[run][idx];
     if (seg.state != MergeSegment<R>::kNotIssued) return;
     seg.state = MergeSegment<R>::kInFlight;
-    seg.buffer = AlignedBuffer(bm_->block_size());
+    if (free_buffers_.empty()) {
+      seg.buffer = AlignedBuffer(bm_->block_size());
+    } else {
+      seg.buffer = std::move(free_buffers_.back());
+      free_buffers_.pop_back();
+    }
     seg.request = bm_->ReadAsync(seg.block, seg.buffer.data());
     ++outstanding_;
   }
@@ -187,7 +202,8 @@ class MergePrefetcher {
     while (prediction_cursor_ < prediction_.size() &&
            outstanding_ < pool_size_) {
       auto [run, idx] = prediction_[prediction_cursor_++];
-      if ((*segments_)[run][idx].state == MergeSegment<R>::kNotIssued) {
+      const MergeSegment<R>& seg = (*segments_)[run][idx];
+      if (seg.state == MergeSegment<R>::kNotIssued && seg.preload == nullptr) {
         Issue(run, idx);
       }
     }
@@ -196,6 +212,7 @@ class MergePrefetcher {
   io::BlockManager* bm_;
   std::vector<std::vector<MergeSegment<R>>>* segments_;
   size_t pool_size_;
+  std::vector<AlignedBuffer> free_buffers_;
   std::vector<std::pair<size_t, size_t>> prediction_;
   size_t prediction_cursor_ = 0;
   size_t outstanding_ = 0;
@@ -246,7 +263,7 @@ std::vector<std::vector<uint64_t>> SegmentPrefixSums(
 
 /// The range partition of a parallel merge: per-boundary, per-run cut
 /// positions (in consumed-record coordinates) plus the boundary blocks read
-/// while planning, to be handed to workers as preloaded buffers.
+/// while planning, to be shared with the workers whose slices touch them.
 template <typename R>
 struct MergePlan {
   size_t workers = 1;
@@ -255,18 +272,20 @@ struct MergePlan {
   std::vector<std::vector<uint64_t>> cuts;
   /// offsets[t] = global output offset of partition t (= sum_j cuts[t][j]).
   std::vector<uint64_t> offsets;
-  std::map<std::pair<size_t, size_t>, AlignedBuffer> preloads;
+  std::map<std::pair<size_t, size_t>, std::shared_ptr<const AlignedBuffer>>
+      preloads;
 };
 
 /// Exact range partitioning over the per-block first_record index. Pivot t
-/// is the first_record of the prediction-sequence block containing output
-/// rank t*N/W (block-granular, so pivots cost no I/O); the cut of run j is
-/// then prefix[j][s] + lower_bound inside the single straddling segment s —
-/// one synchronous block read per (boundary, run) at most, cached across
-/// boundaries. Cuts use pure key order (every tie goes right), so they are
-/// consistent across runs and the partitions concatenate to exactly the
-/// sequential merge. Duplicate-heavy inputs collapse neighboring cuts:
-/// still correct, just less parallel.
+/// is a block's first_record whose output rank, estimated from the index,
+/// is nearest t*N/W (so pivots cost no I/O); the cut of run j is then
+/// prefix[j][s] + lower_bound inside the single straddling segment s.
+/// Every straddling block (at most one per boundary and run, shared across
+/// boundaries) is read in one batch before any cut is placed. Cuts use pure
+/// key order (every tie goes right), so they are consistent across runs and
+/// the partitions concatenate to exactly the sequential merge.
+/// Duplicate-heavy inputs collapse neighboring cuts: still correct, just
+/// less parallel.
 template <typename R>
 MergePlan<R> PlanMergePartitions(
     io::BlockManager* bm,
@@ -285,55 +304,102 @@ MergePlan<R> PlanMergePartitions(
     plan.cuts[workers][j] = prefix[j].back();
   }
 
-  // Pivots walk the prediction order with cumulative takes; the single
-  // partition (W = 1) has no pivots and skips the sort.
+  // Pivots are picked from the prediction order; the single partition
+  // (W = 1) has none and skips the sort.
   std::vector<std::pair<size_t, size_t>> order;
   if (workers > 1) order = PredictionOrder(segments);
-
-  auto preload = [&](size_t j, size_t s) -> const AlignedBuffer& {
-    auto key = std::make_pair(j, s);
-    auto it = plan.preloads.find(key);
-    if (it == plan.preloads.end()) {
-      AlignedBuffer buf(bm->block_size());
-      bm->ReadSync(segments[j][s].block, buf.data());
-      it = plan.preloads.emplace(key, std::move(buf)).first;
-    }
-    return it->second;
+  auto at = [&](size_t i) -> const R& {
+    return segments[order[i].first][order[i].second].first_record;
   };
-
-  size_t oi = 0;
-  uint64_t cum = 0;
-  auto at = [&](size_t i) -> const MergeSegment<R>& {
-    return segments[order[i].first][order[i].second];
+  // The segment of run j that may straddle `key`, as its index + 1 (0 for
+  // none: the whole run lies right of the key). It is the last segment
+  // whose first_record < key: everything in earlier segments is <= that
+  // first_record (sorted run), hence < key, and everything from later
+  // segments is >= key.
+  auto straddling = [&](size_t j, const R& key) -> size_t {
+    return std::partition_point(segments[j].begin(), segments[j].end(),
+                                [&](const MergeSegment<R>& sg) {
+                                  return less(sg.first_record, key);
+                                }) -
+           segments[j].begin();
   };
-  for (size_t t = 1; t < workers; ++t) {
-    uint64_t target = t * total / workers;
-    while (oi < order.size() && cum + at(oi).take <= target) {
-      cum += at(oi).take;
-      ++oi;
-    }
-    DEMSORT_CHECK_LT(oi, order.size());
-    const R pivot = at(oi).first_record;
-
+  // Twice the estimated output rank of `key`: per run, the segments left of
+  // its straddling segment plus half of that one.
+  auto estimate2 = [&](const R& key) {
+    uint64_t rank2 = 0;
     for (size_t j = 0; j < num_runs; ++j) {
-      const auto& segs = segments[j];
-      // First segment whose first_record >= pivot. Everything in earlier
-      // segments is <= that segment's first_record (sorted run), hence
-      // < pivot; everything from later segments is >= pivot.
-      size_t hi = std::partition_point(
-                      segs.begin(), segs.end(),
-                      [&](const MergeSegment<R>& sg) {
-                        return less(sg.first_record, pivot);
-                      }) -
-                  segs.begin();
+      if (size_t s = straddling(j, key); s > 0) {
+        rank2 += 2 * prefix[j][s - 1] + segments[j][s - 1].take;
+      }
+    }
+    return rank2;
+  };
+
+  // Pass 1, no I/O: pivot t is the first_record whose estimated rank is
+  // nearest t*N/W. (The first record of the block holding rank t*N/W would
+  // leave about half a block per run fewer left of every pivot than meant,
+  // skewing the partitions by up to R/2 blocks.) Then, per run, the
+  // straddling segment.
+  std::vector<R> pivots(workers);
+  std::vector<std::vector<size_t>> straddle(workers,
+                                            std::vector<size_t>(num_runs, 0));
+  size_t lo = 0;
+  for (size_t t = 1; t < workers; ++t) {
+    const uint64_t target2 = 2 * (t * total / workers);
+    // The first candidate estimated at or past the target, or the one
+    // before it if that is nearer.
+    size_t oi = lo;
+    for (size_t hi = order.size(); oi < hi;) {
+      const size_t mid = oi + (hi - oi) / 2;
+      if (estimate2(at(mid)) < target2) {
+        oi = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    if (oi == order.size() ||
+        (oi > lo && target2 - estimate2(at(oi - 1)) <
+                        estimate2(at(oi)) - target2)) {
+      --oi;
+    }
+    lo = oi;
+    pivots[t] = at(oi);
+    for (size_t j = 0; j < num_runs; ++j) {
+      straddle[t][j] = straddling(j, pivots[t]);
+      if (straddle[t][j] > 0) {
+        plan.preloads.emplace(std::make_pair(j, straddle[t][j] - 1), nullptr);
+      }
+    }
+  }
+
+  // Every straddling block in one batch, so all disks read at once.
+  std::vector<AlignedBuffer> buffers;
+  std::vector<std::pair<io::BlockId, void*>> reads;
+  buffers.reserve(plan.preloads.size());
+  for (const auto& entry : plan.preloads) {
+    const auto [j, s] = entry.first;
+    buffers.emplace_back(bm->block_size());
+    reads.emplace_back(segments[j][s].block, buffers.back().data());
+  }
+  for (const io::Request& r : bm->ReadBatch(reads)) r.WaitOk();
+  size_t bi = 0;
+  for (auto& entry : plan.preloads) {
+    entry.second =
+        std::make_shared<const AlignedBuffer>(std::move(buffers[bi++]));
+  }
+
+  // Pass 2: the exact cut inside each straddling segment.
+  for (size_t t = 1; t < workers; ++t) {
+    for (size_t j = 0; j < num_runs; ++j) {
       uint64_t cut = 0;
-      if (hi > 0) {
-        size_t s = hi - 1;
-        const AlignedBuffer& buf = preload(j, s);
+      if (straddle[t][j] > 0) {
+        const size_t s = straddle[t][j] - 1;
+        const MergeSegment<R>& seg = segments[j][s];
         const R* recs =
-            reinterpret_cast<const R*>(buf.data()) + segs[s].skip;
+            reinterpret_cast<const R*>(plan.preloads.at({j, s})->data()) +
+            seg.skip;
         cut = prefix[j][s] +
-              (std::lower_bound(recs, recs + segs[s].take, pivot, less) -
+              (std::lower_bound(recs, recs + seg.take, pivots[t], less) -
                recs);
       }
       DEMSORT_CHECK_GE(cut, plan.cuts[t - 1][j]);
@@ -353,17 +419,17 @@ MergePlan<R> PlanMergePartitions(
 
 /// Worker t's private view of the segment lists: the sub-range
 /// [cuts[t], cuts[t+1]) of every run, with skip/take narrowed on boundary
-/// segments. Any segment the planner read is handed over as a preloaded
-/// copy, so blocks shared between adjacent workers are read once (by the
-/// planner), never raced, and freed exactly once — by the worker consuming
-/// the segment's last record.
+/// segments. Any segment the planner read shares the planner's buffer, so
+/// blocks shared between adjacent workers are read once (by the planner),
+/// never raced, and freed exactly once — by the worker consuming the
+/// segment's last record.
 template <typename R>
 std::vector<std::vector<MergeSegment<R>>> SliceWorkerSegments(
     const std::vector<std::vector<MergeSegment<R>>>& segments,
     const std::vector<std::vector<uint64_t>>& prefix,
     const std::vector<uint64_t>& cut_lo, const std::vector<uint64_t>& cut_hi,
-    const std::map<std::pair<size_t, size_t>, AlignedBuffer>& preloads,
-    size_t block_size) {
+    const std::map<std::pair<size_t, size_t>,
+                   std::shared_ptr<const AlignedBuffer>>& preloads) {
   const size_t num_runs = segments.size();
   std::vector<std::vector<MergeSegment<R>>> out(num_runs);
   for (size_t j = 0; j < num_runs; ++j) {
@@ -385,37 +451,29 @@ std::vector<std::vector<MergeSegment<R>>> SliceWorkerSegments(
       seg.take = static_cast<uint32_t>(to - from);
       seg.free_block = to == seg_end;
       auto pl = preloads.find({j, s});
-      if (pl != preloads.end()) {
-        seg.preloaded = true;
-        seg.state = MergeSegment<R>::kInFlight;
-        seg.buffer = AlignedBuffer(block_size);
-        std::memcpy(seg.buffer.data(), pl->second.data(), block_size);
-      }
+      if (pl != preloads.end()) seg.preload = pl->second;
       out[j].push_back(std::move(seg));
     }
   }
   return out;
 }
 
-/// Prefetch pool for one worker. The single partition (W = 1) gets the
-/// whole configured pool, or by default two buffers per run and per disk
-/// plus two (the sizing ablation_prefetch sweeps); with W > 1 the
-/// configured pool is split across partitions with a floor of two buffers
-/// per live run per worker (classic double buffering), so no worker can be
-/// starved below progress.
+/// Prefetch pool for one worker, in buffers. The single partition (W = 1)
+/// gets the whole configured pool, or by default two buffers per run and
+/// per disk plus two (the sizing ablation_prefetch sweeps). With W > 1 every
+/// worker needs one buffer per live run for the blocks it is merging; the
+/// read-ahead beyond that — the W = 1 pool's, num_runs fewer — is split
+/// across the workers, at least two each. So the PE holds about the W = 1
+/// pool plus (W - 1) times the runs, not W times the W = 1 pool.
 inline size_t WorkerPrefetchPool(const SortConfig& config, size_t num_runs,
                                  size_t live_runs, size_t num_disks,
                                  size_t workers) {
-  if (workers <= 1) {
-    return config.prefetch_buffers != 0
-               ? config.prefetch_buffers
-               : std::max<size_t>(2 * num_runs, 2 * num_disks) + 2;
-  }
-  size_t pool =
-      config.prefetch_buffers != 0
-          ? std::max<size_t>(config.prefetch_buffers / workers, 2 * live_runs)
-          : std::max<size_t>(2 * live_runs, 2 * num_disks / workers + 2);
-  return std::max<size_t>(pool, 2);
+  const size_t single = config.prefetch_buffers != 0
+                            ? config.prefetch_buffers
+                            : std::max<size_t>(2 * num_runs, 2 * num_disks) + 2;
+  if (workers <= 1) return single;
+  const size_t ahead = single > num_runs ? (single - num_runs) / workers : 0;
+  return live_runs + std::max<size_t>(ahead, 2);
 }
 
 /// Workers the merge actually uses: the pool size, capped so every worker
@@ -604,7 +662,7 @@ uint64_t MergeLoop(MergePrefetcher<R>& prefetcher,
 /// What one merge worker reports back for the phase gauges.
 struct MergeWorkerMetrics {
   uint64_t merged = 0;
-  int64_t wall_ns = 0;
+  int64_t cpu_ns = 0;  // the worker thread's CPU clock over its partition
   uint64_t io_wait_ns = 0;
   uint64_t demand_fetches = 0;
 };
@@ -700,9 +758,12 @@ class PartitionedMerge {
     slices_.reserve(plan_.workers);
     for (size_t t = 0; t < plan_.workers; ++t) {
       slices_.push_back(SliceWorkerSegments(segments, prefix, plan_.cuts[t],
-                                            plan_.cuts[t + 1], plan_.preloads,
-                                            ctx.bm->block_size()));
+                                            plan_.cuts[t + 1],
+                                            plan_.preloads));
     }
+    // The slices hold the only references now: a boundary buffer is freed
+    // when the last worker sharing it releases it.
+    plan_.preloads.clear();
   }
 
   size_t workers() const { return plan_.workers; }
@@ -718,6 +779,7 @@ class PartitionedMerge {
   void Run(PhaseStats* stats, Partition&& partition) {
     std::vector<MergeWorkerMetrics> metrics(workers());
     ctx_.pool->ParallelFor(workers(), [&](size_t t) {
+      const int64_t cpu0 = ThreadCpuNanos();
       const uint64_t offset = plan_.offsets[t];
       const uint64_t count = plan_.offsets[t + 1] - offset;
       TRACE_SPAN2("merge", "merge.partition", "worker", t, "elements", count);
@@ -735,9 +797,8 @@ class PartitionedMerge {
         merged = MergeLoop(prefetcher, segs, emit);
         DEMSORT_CHECK_EQ(merged, count);
       };
-      int64_t t0 = NowNanos();
       uint64_t own_wait_ns = partition(t, offset, count, merge_into);
-      metrics[t] = {merged, NowNanos() - t0,
+      metrics[t] = {merged, ThreadCpuNanos() - cpu0,
                     prefetcher.io_wait_ns() + own_wait_ns,
                     prefetcher.demand_fetches()};
     });
@@ -748,8 +809,7 @@ class PartitionedMerge {
       stats->elements_merged += m.merged;
       stats->demand_fetches += m.demand_fetches;
       stats->merge_io_wait_ms += m.io_wait_ns * 1e-6;
-      int64_t cpu_ns = m.wall_ns - static_cast<int64_t>(m.io_wait_ns);
-      if (cpu_ns > 0) stats->merge_cpu_ms += cpu_ns * 1e-6;
+      stats->merge_cpu_ms += m.cpu_ns * 1e-6;
     }
   }
 

@@ -228,8 +228,6 @@ InternalSortResult<R> InternalParallelSort(
         received[src].reserve(bytes / sizeof(R));
       },
       redist_options);
-  local.clear();
-  local.shrink_to_fit();
 
   size_t piece_size = 0;
   std::vector<std::span<const R>> sources;
@@ -238,9 +236,12 @@ InternalSortResult<R> InternalParallelSort(
     piece_size += received[p].size();
     sources.emplace_back(received[p].data(), received[p].size());
   }
-  result.piece.resize(piece_size);
-  par::ParallelMultiwayMerge<R, Less>(*ctx.pool, sources,
-                                      result.piece.data());
+  // The merge lands in `local`'s storage, whose records are all sent: a
+  // resize keeps the first records as they are instead of zeroing a fresh
+  // piece-sized vector.
+  local.resize(piece_size);
+  par::ParallelMultiwayMerge<R, Less>(*ctx.pool, sources, local.data());
+  result.piece = std::move(local);
   if (stats != nullptr) {
     stats->elements_merged += piece_size;
     stats->merge_ways = std::max<uint64_t>(stats->merge_ways, P);

@@ -41,9 +41,10 @@ struct PhaseStats {
   /// Final-merge reads the prediction sequence failed to issue in time.
   uint64_t demand_fetches = 0;
   /// Final-merge parallelism: partitions actually merged concurrently
-  /// (gauge), and where worker time went — on-CPU merging vs stalled on
-  /// block reads / output writes (summed over workers, so cpu+io_wait can
-  /// exceed the phase wall when workers overlap).
+  /// (gauge), and where worker time went — the worker threads' CPU clock
+  /// vs time stalled on block reads / output writes (summed over workers,
+  /// so cpu+io_wait can exceed the phase wall when workers overlap; time a
+  /// runnable worker waits for a core is in neither).
   uint64_t merge_workers = 0;
   double merge_cpu_ms = 0;
   double merge_io_wait_ms = 0;

@@ -11,6 +11,7 @@
 #define DEMSORT_CORE_RECORD_H_
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <type_traits>
@@ -53,9 +54,27 @@ struct RecordTraits<KV16> {
 
 template <>
 struct RecordTraits<Gray100> {
+  /// Lexicographic byte order of the 10-byte key, as memcmp would give it,
+  /// compared as integers: the big-endian 8-byte prefix, then the 2-byte
+  /// tail.
   struct Less {
     bool operator()(const Gray100& a, const Gray100& b) const {
-      return std::memcmp(a.key.data(), b.key.data(), a.key.size()) < 0;
+      const uint64_t pa = Prefix(a), pb = Prefix(b);
+      if (pa != pb) return pa < pb;
+      return Tail(a) < Tail(b);
+    }
+
+   private:
+    static uint64_t Prefix(const Gray100& r) {
+      uint64_t v;
+      std::memcpy(&v, r.key.data(), sizeof(v));
+      if constexpr (std::endian::native == std::endian::little) {
+        v = __builtin_bswap64(v);
+      }
+      return v;
+    }
+    static uint16_t Tail(const Gray100& r) {
+      return static_cast<uint16_t>(r.key[8] << 8 | r.key[9]);
     }
   };
   static Gray100 MaxSentinel() {

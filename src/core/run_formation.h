@@ -85,6 +85,22 @@ RunFormationResult<R> FormRuns(PeContext& ctx, const SortConfig& config,
   result.samples.per_run.resize(num_runs);
   result.samples.sample_every_k = sample_k;
 
+  // Block buffers are recycled from run to run: a fresh block-sized
+  // allocation for every block of every run costs its page faults again.
+  std::vector<AlignedBuffer> spare_buffers;
+  auto take_buffer = [&] {
+    if (spare_buffers.empty()) return AlignedBuffer(bm->block_size());
+    AlignedBuffer buffer = std::move(spare_buffers.back());
+    spare_buffers.pop_back();
+    return buffer;
+  };
+  auto recycle = [&](std::vector<AlignedBuffer>& buffers) {
+    for (AlignedBuffer& buffer : buffers) {
+      spare_buffers.push_back(std::move(buffer));
+    }
+    buffers.clear();
+  };
+
   // Pipeline state for overlapped operation.
   struct PendingRead {
     std::vector<AlignedBuffer> buffers;
@@ -100,7 +116,7 @@ RunFormationResult<R> FormRuns(PeContext& ctx, const SortConfig& config,
     std::vector<std::pair<io::BlockId, void*>> ops;
     ops.reserve(end - begin);
     for (size_t i = begin; i < end; ++i) {
-      pending.buffers.emplace_back(bm->block_size());
+      pending.buffers.push_back(take_buffer());
       ops.emplace_back(block_list[i].first, pending.buffers.back().data());
       pending.counts.push_back(block_list[i].second);
     }
@@ -113,14 +129,14 @@ RunFormationResult<R> FormRuns(PeContext& ctx, const SortConfig& config,
     TRACE_SPAN1("run", "rf.read_wait", "run", run);
     size_t total = 0;
     for (size_t c : pending.counts) total += c;
-    std::vector<R> data(total);
-    size_t offset = 0;
+    std::vector<R> data;
+    data.reserve(total);
     for (size_t i = 0; i < pending.requests.size(); ++i) {
       pending.requests[i].WaitOk();
-      std::memcpy(data.data() + offset, pending.buffers[i].data(),
-                  pending.counts[i] * sizeof(R));
-      offset += pending.counts[i];
+      const R* records = reinterpret_cast<const R*>(pending.buffers[i].data());
+      data.insert(data.end(), records, records + pending.counts[i]);
     }
+    recycle(pending.buffers);
     // In-place: return the consumed input blocks to the free list. Safe at
     // any queue depth: a block is freed only after its read COMPLETED, and
     // a write into a reused block is submitted only after the free — so the
@@ -155,7 +171,7 @@ RunFormationResult<R> FormRuns(PeContext& ctx, const SortConfig& config,
       io::WaitAllOk(pending_writes);
     }
     pending_writes.clear();
-    write_buffers.clear();
+    recycle(write_buffers);
 
     RunPiece<R>& piece = result.runs.pieces[run];
     piece.global_start = sorted.piece_start;
@@ -167,7 +183,7 @@ RunFormationResult<R> FormRuns(PeContext& ctx, const SortConfig& config,
     for (size_t b = 0; b < blocks_needed; ++b) {
       size_t offset = b * epb;
       size_t count = std::min(epb, sorted.piece.size() - offset);
-      write_buffers.emplace_back(bm->block_size());
+      write_buffers.push_back(take_buffer());
       std::memcpy(write_buffers.back().data(), sorted.piece.data() + offset,
                   count * sizeof(R));
       // Zero the tail (partial last block, plus any block-size slack when
@@ -185,7 +201,7 @@ RunFormationResult<R> FormRuns(PeContext& ctx, const SortConfig& config,
     if (!config.overlap_run_formation) {
       io::WaitAllOk(pending_writes);
       pending_writes.clear();
-      write_buffers.clear();
+      recycle(write_buffers);
     }
 
     // Sample every K-th element of the piece with exact run positions,

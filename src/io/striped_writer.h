@@ -74,6 +74,7 @@ class StripedWriter {
     final_fill_ = fill_ == 0 ? epb_ : fill_;
     if (fill_ > 0) Flush();
     while (!in_flight_.empty()) Reap();
+    spare_.clear();
   }
 
   uint64_t total_appended() const { return total_; }
@@ -91,15 +92,22 @@ class StripedWriter {
     blocks_.push_back(id);
     in_flight_.push_back(
         {bm_->WriteAsync(id, current_.data()), std::move(current_)});
-    current_ = AlignedBuffer(bm_->block_size());
     fill_ = 0;
     while (in_flight_.size() > max_in_flight_) Reap();
+    // Reuse a written block's buffer rather than allocate a fresh one.
+    if (spare_.empty()) {
+      current_ = AlignedBuffer(bm_->block_size());
+    } else {
+      current_ = std::move(spare_.back());
+      spare_.pop_back();
+    }
   }
 
   void Reap() {
     int64_t t0 = NowNanos();
     in_flight_.front().first.WaitOk();
     io_wait_ns_ += NowNanos() - t0;
+    spare_.push_back(std::move(in_flight_.front().second));
     in_flight_.pop_front();
   }
 
@@ -113,6 +121,7 @@ class StripedWriter {
   std::vector<BlockId> blocks_;
   std::vector<R> first_records_;
   std::deque<std::pair<Request, AlignedBuffer>> in_flight_;
+  std::vector<AlignedBuffer> spare_;  // reaped buffers
   uint64_t io_wait_ns_ = 0;
 };
 

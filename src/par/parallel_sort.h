@@ -5,8 +5,11 @@
 #define DEMSORT_PAR_PARALLEL_SORT_H_
 
 #include <algorithm>
+#include <cstddef>
 #include <cstring>
+#include <memory>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "par/multiway_merge.h"
@@ -31,14 +34,20 @@ void ParallelSort(ThreadPool& pool, std::span<T> data, Less less = Less()) {
   // Ping-pong: each task copies its chunk into the scratch buffer and sorts
   // it there, then the merge lands directly in the caller's buffer — one
   // full-array pass fewer than sort-in-place + merge-to-scratch + copy-back.
+  // The scratch is left uninitialized (a vector would zero it first: one
+  // more pass over the array) and filled by the copies.
+  static_assert(std::is_trivially_copyable_v<T> &&
+                alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__);
   const size_t chunk = (n + parts - 1) / parts;
-  std::vector<T> scratch(n);
+  std::unique_ptr<std::byte[]> storage(new std::byte[n * sizeof(T)]);
+  T* scratch = reinterpret_cast<T*>(storage.get());
   pool.ParallelFor(parts, [&](size_t t) {
     size_t lo = std::min(n, t * chunk);
     size_t hi = std::min(n, lo + chunk);
     if (lo >= hi) return;
-    std::copy(data.begin() + lo, data.begin() + hi, scratch.begin() + lo);
-    std::stable_sort(scratch.begin() + lo, scratch.begin() + hi, less);
+    std::uninitialized_copy(data.begin() + lo, data.begin() + hi,
+                            scratch + lo);
+    std::stable_sort(scratch + lo, scratch + hi, less);
   });
 
   std::vector<std::span<const T>> sources;
@@ -46,7 +55,9 @@ void ParallelSort(ThreadPool& pool, std::span<T> data, Less less = Less()) {
   for (size_t t = 0; t < parts; ++t) {
     size_t lo = std::min(n, t * chunk);
     size_t hi = std::min(n, lo + chunk);
-    if (lo < hi) sources.push_back(std::span<const T>(&scratch[lo], hi - lo));
+    if (lo < hi) {
+      sources.push_back(std::span<const T>(scratch + lo, hi - lo));
+    }
   }
   ParallelMultiwayMerge(pool, sources, data.data(), less);
 }

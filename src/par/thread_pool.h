@@ -9,7 +9,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
+#include <cstdint>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -19,8 +19,10 @@ namespace demsort::par {
 
 class ThreadPool {
  public:
-  /// num_threads == 0 or 1 makes every call run inline (useful for tests and
-  /// for keeping thread counts sane when emulating many PEs).
+  /// A pool of `num_threads` executors: the thread calling ParallelFor plus
+  /// num_threads - 1 workers. num_threads == 0 or 1 starts no worker and
+  /// makes every call run inline (useful for tests and for keeping thread
+  /// counts sane when emulating many PEs).
   ///
   /// `trace_rank`: the owning PE's rank, stamped on every worker thread so
   /// span-trace events they record land on that rank's tracks (workers are
@@ -31,10 +33,11 @@ class ThreadPool {
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  size_t num_threads() const { return threads_.empty() ? 1 : threads_.size(); }
+  /// Executors, the calling thread included.
+  size_t num_threads() const { return threads_.size() + 1; }
 
   /// Runs fn(i) for i in [0, num_tasks) across the pool and waits for all of
-  /// them. The calling thread participates, so the pool can be size 0.
+  /// them. The calling thread is one of the executors.
   ///
   /// Contract: task indexes are handed to executors in strictly increasing
   /// order. Combined with SequenceGate turns below, this makes "task t may
@@ -64,6 +67,10 @@ class ThreadPool {
   std::mutex mu_;
   std::condition_variable work_cv_;
   Batch* current_ = nullptr;  // guarded by mu_
+  /// Counts published batches (guarded by mu_). Back-to-back batches are
+  /// stack locals of successive ParallelFor calls and may share an address,
+  /// so a worker tells a new batch from the one it drained by this count.
+  uint64_t generation_ = 0;
   bool shutdown_ = false;     // guarded by mu_
 };
 

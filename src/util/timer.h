@@ -2,6 +2,8 @@
 #ifndef DEMSORT_UTIL_TIMER_H_
 #define DEMSORT_UTIL_TIMER_H_
 
+#include <time.h>
+
 #include <chrono>
 #include <cstdint>
 
@@ -16,6 +18,14 @@ inline int64_t NowNanos() {
 
 /// Monotonic wall clock in milliseconds (deadlines, retry backoff).
 inline int64_t NowMillis() { return NowNanos() / 1'000'000; }
+
+/// CPU time the calling thread has consumed, in nanoseconds. Unlike wall
+/// time, it does not run while the thread is blocked or descheduled.
+inline int64_t ThreadCpuNanos() {
+  timespec ts;
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+  return int64_t{ts.tv_sec} * 1'000'000'000 + ts.tv_nsec;
+}
 
 /// Stopwatch accumulating elapsed time across Start/Stop cycles.
 class Stopwatch {

@@ -2,10 +2,15 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
+#include <cstring>
 #include <limits>
+#include <mutex>
 #include <numeric>
 #include <random>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/record.h"
@@ -63,6 +68,94 @@ TEST(ThreadPoolTest, EmptyWorkIsNoop) {
   ThreadPool pool(2);
   pool.ParallelFor(0, [&](size_t) { FAIL(); });
   pool.ParallelChunks(5, 5, [&](size_t, size_t) { FAIL(); });
+}
+
+TEST(ThreadPoolTest, NumThreadsCountsTheCaller) {
+  EXPECT_EQ(ThreadPool(0).num_threads(), 1u);
+  for (size_t t : {1, 2, 4}) EXPECT_EQ(ThreadPool(t).num_threads(), t);
+}
+
+// Back-to-back ParallelFor calls publish batches that live at the same stack
+// address. Each call's two tasks can only finish together: each waits
+// (bounded) until both have started, so the call passes only if the pool's
+// one worker joined it rather than sleeping through it and leaving both
+// tasks to the caller.
+TEST(ThreadPoolTest, WorkersJoinBackToBackBatches) {
+  ThreadPool pool(2);
+  for (int call = 0; call < 200; ++call) {
+    std::mutex mu;
+    std::condition_variable cv;
+    int started = 0;
+    bool met = true;
+    pool.ParallelFor(2, [&](size_t) {
+      std::unique_lock<std::mutex> lock(mu);
+      ++started;
+      cv.notify_all();
+      if (!cv.wait_for(lock, std::chrono::seconds(10),
+                       [&] { return started == 2; })) {
+        met = false;
+      }
+    });
+    ASSERT_TRUE(met) << "call " << call << ": both tasks ran on one thread";
+  }
+}
+
+// --------------------------------------------------------- RecordTraits ---
+
+TEST(RecordTraitsTest, Gray100LessAgreesWithMemcmp) {
+  using demsort::core::Gray100;
+  using Traits = demsort::core::RecordTraits<Gray100>;
+  const Traits::Less less;
+  auto check = [&](const Gray100& a, const Gray100& b) {
+    EXPECT_EQ(less(a, b), std::memcmp(a.key.data(), b.key.data(), 10) < 0);
+    EXPECT_EQ(less(b, a), std::memcmp(b.key.data(), a.key.data(), 10) < 0);
+  };
+  std::mt19937_64 rng(15);
+  auto random_key = [&] {
+    Gray100 r;
+    for (uint8_t& byte : r.key) byte = static_cast<uint8_t>(rng());
+    return r;
+  };
+  for (int i = 0; i < 10000; ++i) check(random_key(), random_key());
+
+  // Keys equal up to byte 7, 8 or 9: the last prefix byte and the tail,
+  // including differences in the top bit.
+  for (size_t pos : {7, 8, 9}) {
+    for (int i = 0; i < 1000; ++i) {
+      Gray100 a = random_key();
+      Gray100 b = a;
+      b.key[pos] = static_cast<uint8_t>(rng());
+      check(a, b);
+    }
+    for (auto [lo, hi] : {std::pair<uint8_t, uint8_t>{0x7F, 0x80},
+                          std::pair<uint8_t, uint8_t>{0x00, 0xFF},
+                          std::pair<uint8_t, uint8_t>{0xFE, 0xFF}}) {
+      Gray100 a = random_key();
+      Gray100 b = a;
+      a.key[pos] = lo;
+      b.key[pos] = hi;
+      check(a, b);
+      EXPECT_TRUE(less(a, b)) << "byte " << pos;
+    }
+  }
+
+  // Equal keys are unordered, whatever the payloads.
+  Gray100 a = random_key();
+  Gray100 b = a;
+  b.payload.fill(0xAB);
+  check(a, b);
+  EXPECT_FALSE(less(a, b));
+  EXPECT_FALSE(less(b, a));
+
+  // The sentinel ties with the all-0xFF key and is below no key.
+  Gray100 ff;
+  ff.key.fill(0xFF);
+  ff.payload.fill(0x01);
+  const Gray100 sentinel = Traits::MaxSentinel();
+  check(sentinel, ff);
+  EXPECT_FALSE(less(sentinel, ff));
+  EXPECT_FALSE(less(ff, sentinel));
+  for (int i = 0; i < 1000; ++i) EXPECT_FALSE(less(sentinel, random_key()));
 }
 
 // ---------------------------------------------------------- LoserTree ----
