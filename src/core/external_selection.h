@@ -4,18 +4,20 @@
 // [i*N/P, (i+1)*N/P) under the (key, run, position) total order.
 //
 // Implementation follows the paper's optimized variant:
-//  * The in-memory sample (every K-th element of each run, kept with exact
-//    run positions, replicated after run formation) bootstraps per-run
-//    bounds without any I/O: a pivot's global rank is bracketed by sample
-//    counts, and decisive brackets tighten the bounds exactly as the pivot
-//    loop of par::MultiwaySelect does.
+//  * The in-memory sample (the key of every K-th element of each run, kept
+//    with exact run positions, replicated after run formation) bootstraps
+//    per-run bounds without any I/O (SampleBootstrapBounds): a pivot's
+//    global rank is bracketed by sample counts, and decisive brackets
+//    tighten the bounds exactly as the pivot loop of par::MultiwaySelect
+//    does.
 //  * Exact refinement runs the same pivot loop with exact counts; counts
 //    touch at most the one or two blocks per run the sample leaves
-//    uncertain. Blocks are fetched from their owner PEs in BSP rounds,
-//    pipelined over the nonblocking transport (requests out, each peer's
-//    frames served from local disk and Isent as they are packed, incoming
-//    frames ingested as they land) and kept in a bounded cache, so repeated
-//    probes are free ("we cache the most recently accessed disk blocks").
+//    uncertain. Blocks are fetched from their owner PEs in BSP rounds over
+//    the nonblocking transport: requests go out, every owner reads all the
+//    blocks it serves in the round with one ReadBatch, and ships only their
+//    keys (RecordTraits<R>::Key), never whole records. Fetched keys are kept
+//    in a bounded cache, so repeated probes are free ("we cache the most
+//    recently accessed disk blocks").
 // All P selections proceed simultaneously, one per PE, sharing the fetch
 // rounds; convergence is detected with an allreduce.
 #ifndef DEMSORT_CORE_EXTERNAL_SELECTION_H_
@@ -29,6 +31,8 @@
 #include <optional>
 #include <set>
 #include <span>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "core/config.h"
@@ -37,6 +41,7 @@
 #include "core/record.h"
 #include "core/run_formation.h"
 #include "core/run_index.h"
+#include "core/sample_bounds.h"
 #include "net/transport.h"
 #include "util/aligned_buffer.h"
 #include "util/logging.h"
@@ -55,7 +60,17 @@ struct SplitterMatrix {
 template <typename R>
 class ExternalSelector {
  public:
-  using Less = typename RecordTraits<R>::Less;
+  using Traits = RecordTraits<R>;
+  using Key = typename Traits::Key;
+
+  /// What this PE's fetch rounds have shipped so far: the blocks it
+  /// requested from other PEs, and the blocks (and keys in them) it served
+  /// to other PEs.
+  struct FetchCounts {
+    uint64_t blocks_requested = 0;
+    uint64_t blocks_served = 0;
+    uint64_t keys_served = 0;
+  };
 
   ExternalSelector(PeContext& ctx, const SortConfig& config,
                    const RunFormationResult<R>& rf)
@@ -70,19 +85,27 @@ class ExternalSelector {
         // cache so eviction can never livelock it (26 covers windows up to
         // 2^24 blocks).
         cache_capacity_(std::max<size_t>(config.selection_cache_blocks,
-                                         26 * rf.table.num_runs() + 8)) {}
+                                         26 * rf.table.num_runs() + 8)) {
+    lengths_.resize(num_runs_);
+    for (size_t r = 0; r < num_runs_; ++r) {
+      lengths_[r] = rf_.table.RunLength(r);
+    }
+  }
+
+  /// Wire cost of one fetched block beyond its keys: its request entry and
+  /// its frame header.
+  static constexpr size_t kRequestBytes = 16;
+  static constexpr size_t kFrameHeaderBytes = 16;
+
+  const FetchCounts& fetch_counts() const { return fetch_counts_; }
 
   /// Collective: every PE calls this once; PE i selects rank
   /// r_i = i*N/P (+remainder spread). Returns the full splitter matrix.
   SplitterMatrix SelectAllCollective(PhaseStats* stats) {
     net::Comm& comm = *ctx_.comm;
     const int P = comm.size();
-    const uint64_t total = rf_.total_elements;
-    const int me = comm.rank();
-    uint64_t my_target =
-        total / P * me + std::min<uint64_t>(total % P, me);
-
-    std::vector<uint64_t> my_row = SelectCollective(my_target, stats);
+    std::vector<uint64_t> my_row = SelectCollective(
+        internal::EvenSplitRank(rf_.total_elements, P, comm.rank()), stats);
     return GatherSplitterMatrix(my_row);
   }
 
@@ -116,11 +139,7 @@ class ExternalSelector {
           split.boundary[src].resize(num_runs_);
         },
         config_.StreamOptionsFor(sizeof(uint64_t)));
-    std::vector<uint64_t> lengths(num_runs_);
-    for (size_t r = 0; r < num_runs_; ++r) {
-      lengths[r] = rf_.table.RunLength(r);
-    }
-    split.boundary[P] = std::move(lengths);
+    split.boundary[P] = lengths_;
     return split;
   }
 
@@ -128,13 +147,11 @@ class ExternalSelector {
   std::vector<uint64_t> SelectCollective(uint64_t target, PhaseStats* stats) {
     net::Comm& comm = *ctx_.comm;
     const int P = comm.size();
+    const int me = comm.rank();
 
-    lo_.assign(num_runs_, 0);
-    hi_.resize(num_runs_);
-    for (size_t r = 0; r < num_runs_; ++r) hi_[r] = rf_.table.RunLength(r);
     target_ = target;
-
-    Bootstrap();
+    SampleBootstrapBounds<R>(rf_.samples.per_run, lengths_, target_, &lo_,
+                             &hi_);
 
     std::set<BlockKey> needed;
     bool done = TryAdvance(&needed);
@@ -144,19 +161,17 @@ class ExternalSelector {
       if (all_done) break;
       ++rounds;
 
-      // Fetch round, pipelined on the nonblocking layer: my block requests
-      // go out per owner, each peer's requests are served (local disk
-      // reads) and the frames Isent the moment they are packed — so one
-      // peer's frames cross the network while the next peer's blocks are
-      // still being read — and incoming frames are ingested as they land.
-      // My own blocks are served locally without touching the transport.
-      const int me = comm.rank();
+      // Fetch round on the nonblocking layer: my block requests go out per
+      // owner; once every peer's requests are in, all the blocks this PE
+      // serves in the round (its own first) are read with one ReadBatch,
+      // and each peer's key frames are Isent as soon as they are packed.
       int req_tag = comm.AllocateCollectiveTag();
       int frame_tag = comm.AllocateCollectiveTag();
       std::vector<std::vector<ReqEntry>> requests(P);
       for (const BlockKey& key : needed) {
         int owner = rf_.table.FindOwner(key.run, key.start_pos);
-        requests[owner].push_back(ReqEntry{key.run, key.start_pos});
+        requests[owner].push_back(ReqEntry{key.start_pos, key.run});
+        if (owner != me) ++fetch_counts_.blocks_requested;
       }
 
       std::vector<net::RecvRequest> req_recvs(P), frame_recvs(P);
@@ -173,27 +188,42 @@ class ExternalSelector {
             owner, req_tag, requests[owner].data(),
             requests[owner].size() * sizeof(ReqEntry)));
       }
-      {
-        std::vector<uint8_t> local_frames;
-        for (const ReqEntry& req : requests[me]) {
-          AppendBlockFrame(req, &local_frames);
-        }
-        IngestFrames(local_frames);
-      }
-      std::vector<uint8_t> response;
+      // serve[s]: the blocks requester s asked this PE for, in the order
+      // they are read.
+      std::vector<std::vector<ReqEntry>> serve(P);
+      serve[me] = std::move(requests[me]);
       for (int off = 1; off < P; ++off) {
         int src = (me - off + P) % P;
         std::vector<uint8_t> bytes = req_recvs[src].Take();
         DEMSORT_CHECK_EQ(bytes.size() % sizeof(ReqEntry), 0u);
-        response.clear();
-        const ReqEntry* entries =
-            reinterpret_cast<const ReqEntry*>(bytes.data());
-        size_t count = bytes.size() / sizeof(ReqEntry);
-        for (size_t i = 0; i < count; ++i) {
-          AppendBlockFrame(entries[i], &response);
+        serve[src].resize(bytes.size() / sizeof(ReqEntry));
+        if (!bytes.empty()) {
+          std::memcpy(serve[src].data(), bytes.data(), bytes.size());
         }
+      }
+      std::vector<io::Request> reads = ReadServedBlocks(serve, me);
+      size_t next = 0;
+      // Packs the keys of `entries`' blocks into `out`; returns the count.
+      auto pack = [&](const std::vector<ReqEntry>& entries,
+                      std::vector<uint8_t>* out) {
+        out->clear();
+        uint64_t keys = 0;
+        for (const ReqEntry& req : entries) {
+          reads[next].WaitOk();
+          keys += AppendKeyFrame(req, read_buffers_[next].data(), out);
+          ++next;
+        }
+        return keys;
+      };
+      std::vector<uint8_t> frames;
+      pack(serve[me], &frames);
+      IngestFrames(frames);
+      for (int off = 1; off < P; ++off) {
+        int src = (me - off + P) % P;
+        fetch_counts_.keys_served += pack(serve[src], &frames);
+        fetch_counts_.blocks_served += serve[src].size();
         sends.push_back(
-            comm.Isend(src, frame_tag, response.data(), response.size()));
+            comm.Isend(src, frame_tag, frames.data(), frames.size()));
       }
       for (int off = 1; off < P; ++off) {
         int src = (me - off + P) % P;
@@ -221,105 +251,20 @@ class ExternalSelector {
     }
   };
   struct ReqEntry {
-    uint32_t run;
     uint64_t start_pos;
+    uint64_t run;
   };
-  static_assert(std::is_trivially_copyable_v<ReqEntry>);
+  /// Precedes each block's `count` keys in a frame.
   struct FrameHeader {
-    uint32_t run;
     uint64_t start_pos;
+    uint32_t run;
     uint32_t count;
   };
-
-  // ---------------------------------------------------------- sampling --
-  /// True if sample/element `rec` of run `i` precedes pivot (xrec, jx) in
-  /// the (key, run) total order (positions never compared across runs).
-  bool PrecedesPivot(const R& rec, size_t i, const R& xrec, size_t jx) const {
-    if (less_(rec, xrec)) return true;
-    if (less_(xrec, rec)) return false;
-    return i < jx;
-  }
-
-  /// Bracket of count(run i elements preceding pivot) from run i's samples.
-  void SampleBounds(size_t i, const R& xrec, size_t jx, uint64_t* c_lo,
-                    uint64_t* c_hi) const {
-    const auto& samples = rf_.samples.per_run[i];
-    // First sample NOT preceding the pivot.
-    size_t si =
-        std::partition_point(samples.begin(), samples.end(),
-                             [&](const auto& s) {
-                               return PrecedesPivot(s.record, i, xrec, jx);
-                             }) -
-        samples.begin();
-    *c_lo = si == 0 ? 0 : samples[si - 1].pos + 1;
-    *c_hi = si == samples.size() ? rf_.table.RunLength(i) : samples[si].pos;
-    DEMSORT_CHECK_LE(*c_lo, *c_hi + 0);  // c_lo <= c_hi always holds here:
-    // samples are in position==key order, adjacent samples bracket the run.
-  }
-
-  /// Sample-only pivot rounds: tighten [lo, hi] for free until fixpoint.
-  void Bootstrap() {
-    bool changed = true;
-    while (changed) {
-      changed = false;
-      for (size_t j = 0; j < num_runs_; ++j) {
-        if (lo_[j] >= hi_[j]) continue;
-        const auto& samples = rf_.samples.per_run[j];
-        if (samples.empty()) continue;
-        uint64_t mid = lo_[j] + (hi_[j] - lo_[j]) / 2;
-        // Sample of run j nearest below/at mid.
-        size_t si = std::partition_point(samples.begin(), samples.end(),
-                                         [&](const auto& s) {
-                                           return s.pos <= mid;
-                                         }) -
-                    samples.begin();
-        if (si == 0) continue;
-        const auto& pivot = samples[si - 1];
-        uint64_t rank_lo = 0, rank_hi = 0;
-        for (size_t i = 0; i < num_runs_; ++i) {
-          if (i == j) {
-            rank_lo += pivot.pos;
-            rank_hi += pivot.pos;
-            continue;
-          }
-          uint64_t c_lo, c_hi;
-          SampleBounds(i, pivot.record, j, &c_lo, &c_hi);
-          rank_lo += c_lo;
-          rank_hi += c_hi;
-        }
-        if (rank_hi < target_) {
-          // Pivot definitely precedes the boundary element.
-          for (size_t i = 0; i < num_runs_; ++i) {
-            if (i == j) continue;
-            uint64_t c_lo, c_hi;
-            SampleBounds(i, pivot.record, j, &c_lo, &c_hi);
-            if (c_lo > lo_[i]) {
-              lo_[i] = c_lo;
-              changed = true;
-            }
-          }
-          if (pivot.pos + 1 > lo_[j]) {
-            lo_[j] = pivot.pos + 1;
-            changed = true;
-          }
-        } else if (rank_lo > target_) {
-          for (size_t i = 0; i < num_runs_; ++i) {
-            if (i == j) continue;
-            uint64_t c_lo, c_hi;
-            SampleBounds(i, pivot.record, j, &c_lo, &c_hi);
-            if (c_hi < hi_[i]) {
-              hi_[i] = c_hi;
-              changed = true;
-            }
-          }
-          if (pivot.pos < hi_[j]) {
-            hi_[j] = pivot.pos;
-            changed = true;
-          }
-        }
-      }
-    }
-  }
+  // Both go on the wire as raw bytes: no padding.
+  static_assert(std::has_unique_object_representations_v<ReqEntry>);
+  static_assert(std::has_unique_object_representations_v<FrameHeader>);
+  static_assert(sizeof(ReqEntry) == kRequestBytes);
+  static_assert(sizeof(FrameHeader) == kFrameHeaderBytes);
 
   // ------------------------------------------------------ block access --
   /// Block (aligned to the owner piece's layout) containing position `pos`
@@ -331,14 +276,14 @@ class ExternalSelector {
     return BlockKey{run, pstart + rel / epb_ * epb_};
   }
 
-  const std::vector<R>* CacheLookup(const BlockKey& key) const {
+  const std::vector<Key>* CacheLookup(const BlockKey& key) const {
     auto it = cache_.find(key);
     return it == cache_.end() ? nullptr : &it->second;
   }
 
-  void CacheInsert(const BlockKey& key, std::vector<R> records) {
+  void CacheInsert(const BlockKey& key, std::vector<Key> keys) {
     if (cache_.count(key) > 0) return;
-    cache_.emplace(key, std::move(records));
+    cache_.emplace(key, std::move(keys));
     cache_fifo_.push_back(key);
     while (cache_fifo_.size() > cache_capacity_) {
       cache_.erase(cache_fifo_.front());
@@ -346,32 +291,67 @@ class ExternalSelector {
     }
   }
 
-  /// Serve a request for one of *my* piece blocks from local disk.
-  void AppendBlockFrame(const ReqEntry& req, std::vector<uint8_t>* out) {
+  /// One of *my* piece blocks a request names, and how many records of it
+  /// are real.
+  io::BlockId ServedBlock(const ReqEntry& req, size_t* count) const {
+    DEMSORT_CHECK_LT(req.run, num_runs_);
     const RunPiece<R>& piece = rf_.runs.pieces[req.run];
     DEMSORT_CHECK_GE(req.start_pos, piece.global_start);
     uint64_t rel = req.start_pos - piece.global_start;
     DEMSORT_CHECK_EQ(rel % epb_, 0u);
     size_t block_index = static_cast<size_t>(rel / epb_);
     DEMSORT_CHECK_LT(block_index, piece.blocks.size());
-    size_t count =
-        static_cast<size_t>(std::min<uint64_t>(epb_, piece.size - rel));
+    *count = static_cast<size_t>(std::min<uint64_t>(epb_, piece.size - rel));
+    return piece.blocks[block_index];
+  }
+
+  /// Submits the reads of every block in `serve` (requester `me` first,
+  /// then the others in rank order, as the caller packs them) as one batch
+  /// into the recycled read buffers; request i reads into read_buffers_[i].
+  std::vector<io::Request> ReadServedBlocks(
+      const std::vector<std::vector<ReqEntry>>& serve, int me) {
+    const int P = static_cast<int>(serve.size());
+    std::vector<std::pair<io::BlockId, void*>> ops;
+    auto add = [&](const std::vector<ReqEntry>& entries) {
+      for (const ReqEntry& req : entries) {
+        if (read_buffers_.size() == ops.size()) {
+          read_buffers_.emplace_back(ctx_.bm->block_size());
+        }
+        size_t count;
+        ops.emplace_back(ServedBlock(req, &count),
+                         read_buffers_[ops.size()].data());
+      }
+    };
+    add(serve[me]);
+    for (int off = 1; off < P; ++off) add(serve[(me - off + P) % P]);
+    return ctx_.bm->ReadBatch(ops);
+  }
+
+  /// Appends the frame of one served block, read into `block`: its header
+  /// and the keys of its records. Returns the number of keys.
+  size_t AppendKeyFrame(const ReqEntry& req, const uint8_t* block,
+                        std::vector<uint8_t>* out) const {
+    size_t count;
+    ServedBlock(req, &count);
     // FrameHeader::count is 32-bit; a block never holds that many records
     // today, but a silent truncation here would corrupt the fetch protocol
     // — the same overflow class the paper re-implemented MPI_Alltoallv to
     // escape. Fail loudly at the pack site.
     DEMSORT_CHECK_LE(count, uint64_t{std::numeric_limits<uint32_t>::max()})
         << "selection frame count overflows the 32-bit header";
-
-    AlignedBuffer buffer(ctx_.bm->block_size());
-    ctx_.bm->ReadSync(piece.blocks[block_index], buffer.data());
-
-    FrameHeader header{req.run, req.start_pos, static_cast<uint32_t>(count)};
+    FrameHeader header{req.start_pos, static_cast<uint32_t>(req.run),
+                       static_cast<uint32_t>(count)};
     size_t old = out->size();
-    out->resize(old + sizeof(header) + count * sizeof(R));
-    std::memcpy(out->data() + old, &header, sizeof(header));
-    std::memcpy(out->data() + old + sizeof(header), buffer.data(),
-                count * sizeof(R));
+    out->resize(old + sizeof(header) + count * sizeof(Key));
+    uint8_t* dst = out->data() + old;
+    std::memcpy(dst, &header, sizeof(header));
+    dst += sizeof(header);
+    const R* records = reinterpret_cast<const R*>(block);
+    for (size_t i = 0; i < count; ++i) {
+      std::memcpy(dst + i * sizeof(Key), &Traits::KeyOf(records[i]),
+                  sizeof(Key));
+    }
+    return count;
   }
 
   void IngestFrames(const std::vector<uint8_t>& frames) {
@@ -380,39 +360,38 @@ class ExternalSelector {
       FrameHeader header;
       std::memcpy(&header, frames.data() + offset, sizeof(header));
       offset += sizeof(header);
-      std::vector<R> records(header.count);
-      std::memcpy(records.data(), frames.data() + offset,
-                  header.count * sizeof(R));
-      offset += header.count * sizeof(R);
-      CacheInsert(BlockKey{header.run, header.start_pos},
-                  std::move(records));
+      std::vector<Key> keys(header.count);
+      std::memcpy(keys.data(), frames.data() + offset,
+                  header.count * sizeof(Key));
+      offset += header.count * sizeof(Key);
+      CacheInsert(BlockKey{header.run, header.start_pos}, std::move(keys));
     }
     DEMSORT_CHECK_EQ(offset, frames.size());
   }
 
-  /// Exact count of run-i elements preceding pivot (xrec from run jx at pos
-  /// xpos), or nullopt with the next missing probe block added to `needed`.
-  /// Binary search over the sample-bracketed window touches only
+  /// Exact count of run-i elements preceding pivot (xkey from run jx at
+  /// pos xpos), or nullopt with the next missing probe block added to
+  /// `needed`. Binary search over the sample-bracketed window touches only
   /// O(log(window/B)) blocks — the probe path is deterministic, so repeated
   /// calls across fetch rounds walk the same (now cached) prefix and extend
   /// it by the freshly delivered block.
-  std::optional<uint64_t> ExactCount(size_t i, const R& xrec, size_t jx,
+  std::optional<uint64_t> ExactCount(size_t i, const Key& xkey, size_t jx,
                                      uint64_t xpos,
                                      std::set<BlockKey>* needed) {
     if (i == jx) return xpos;
-    uint64_t c_lo, c_hi;
-    SampleBounds(i, xrec, jx, &c_lo, &c_hi);
-    uint64_t lo = c_lo, hi = c_hi;
+    uint64_t lo, hi;
+    SampleCountBounds<R>(rf_.samples.per_run[i], lengths_[i], i, xkey, jx,
+                         &lo, &hi);
     while (lo < hi) {
       uint64_t mid = lo + (hi - lo) / 2;
       BlockKey key = BlockContaining(static_cast<uint32_t>(i), mid);
-      const std::vector<R>* block = CacheLookup(key);
+      const std::vector<Key>* block = CacheLookup(key);
       if (block == nullptr) {
         needed->insert(key);
         return std::nullopt;
       }
-      const R& rec = (*block)[mid - key.start_pos];
-      if (PrecedesPivot(rec, i, xrec, jx)) {
+      if (PrecedesInTieOrder<R>((*block)[mid - key.start_pos], i, xkey,
+                                jx)) {
         lo = mid + 1;
       } else {
         hi = mid;
@@ -438,18 +417,18 @@ class ExternalSelector {
       uint64_t mid = lo_[jp] + (hi_[jp] - lo_[jp]) / 2;
 
       BlockKey pivot_key = BlockContaining(static_cast<uint32_t>(jp), mid);
-      const std::vector<R>* pivot_block = CacheLookup(pivot_key);
+      const std::vector<Key>* pivot_block = CacheLookup(pivot_key);
       if (pivot_block == nullptr) {
         needed->insert(pivot_key);
         return false;
       }
-      const R xrec = (*pivot_block)[mid - pivot_key.start_pos];
+      const Key xkey = (*pivot_block)[mid - pivot_key.start_pos];
 
       uint64_t pivot_rank = 0;
       std::vector<uint64_t> counts(num_runs_);
       bool blocked = false;
       for (size_t i = 0; i < num_runs_; ++i) {
-        std::optional<uint64_t> c = ExactCount(i, xrec, jp, mid, needed);
+        std::optional<uint64_t> c = ExactCount(i, xkey, jp, mid, needed);
         if (!c.has_value()) {
           blocked = true;
           continue;
@@ -486,14 +465,17 @@ class ExternalSelector {
   const size_t epb_;
   const size_t num_runs_;
   const size_t cache_capacity_;
-  Less less_;
+  std::vector<uint64_t> lengths_;  // run lengths
 
   uint64_t target_ = 0;
   std::vector<uint64_t> lo_;
   std::vector<uint64_t> hi_;
 
-  std::map<BlockKey, std::vector<R>> cache_;
+  std::map<BlockKey, std::vector<Key>> cache_;
   std::deque<BlockKey> cache_fifo_;
+  /// Block-sized read targets, recycled from fetch round to fetch round.
+  std::vector<AlignedBuffer> read_buffers_;
+  FetchCounts fetch_counts_;
 };
 
 /// Checkpoint image of a completed phase 2: the replicated splitter matrix

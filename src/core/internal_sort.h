@@ -7,12 +7,10 @@
 //      data crosses the network in the best case of the whole sort),
 //   4. every PE merges the P sorted slices it received.
 //
-// The distributed selection is the in-memory analogue of §IV-A: the same
-// pivot-with-exact-counts loop as par::MultiwaySelect, but the sequences
-// live on remote PEs, so each BSP round allgathers (a) the pivot elements
-// every open (target, sequence) pair needs and (b) each PE's exact local
-// counts for all pivots. All PEs replicate the full selection state
-// deterministically, so no additional coordination is needed.
+// The distributed selection is the in-memory analogue of §IV-A: sample
+// bounds narrow every split position to a window of O(sample gap) elements
+// per sequence, and par::MultiwaySelect finishes exactly on the windows'
+// keys. Only keys cross the network for it, never records.
 #ifndef DEMSORT_CORE_INTERNAL_SORT_H_
 #define DEMSORT_CORE_INTERNAL_SORT_H_
 
@@ -20,6 +18,7 @@
 #include <cstdint>
 #include <cstring>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "core/pe_context.h"
@@ -48,31 +47,48 @@ struct InternalSortResult {
 
 namespace internal {
 
-/// Splitter matrix: split[t][j] = how many elements of (sorted) sequence j
-/// precede global rank target_ranks[t] (one target per PE rank 1..P-1;
-/// target_ranks.size() must be P-1). Sequence j lives on PE j; `local` is
-/// this PE's sequence. All PEs return identical matrices.
+/// Global rank where PE t's share of `total` elements begins when P PEs
+/// split them as evenly as possible (the first total % P PEs get one more).
+inline uint64_t EvenSplitRank(uint64_t total, int P, int t) {
+  return total / P * t + std::min<uint64_t>(total % P, t);
+}
+
+struct DistributedSelection {
+  /// split[t][j] = how many elements of (sorted) sequence j precede global
+  /// rank EvenSplitRank(total, P, t + 1), for t = 0..P-2.
+  std::vector<std::vector<uint64_t>> split;
+  /// Total length of all sequences.
+  uint64_t total = 0;
+  /// Window keys this PE sent to other PEs.
+  uint64_t keys_sent = 0;
+};
+
+/// Splitter matrix for the even split of P sorted sequences, one per PE
+/// (sequence j lives on PE j; `local` is this PE's). All PEs return
+/// identical results.
 ///
-/// Constant number of communication rounds (App. B applied in memory):
-///   1. allgather a position-annotated sample of every sequence,
+/// Works on keys only (RecordTraits<R>::Key): samples and windows carry
+/// sizeof(Key) bytes per element, never whole records. Constant number of
+/// communication rounds (App. B applied in memory):
+///   1. allgather a position-annotated key sample of every sequence; its
+///      closing entry (position n_j - 1) also gives every sequence's
+///      length, so no separate size exchange is needed,
 ///   2. every PE derives guaranteed bounds [lo_j, hi_j] for ITS target
 ///      locally (SampleBootstrapBounds), windows are O(sample gap) wide,
-///   3. one alltoallv fetches the window contents from their owners,
-///   4. exact multiway selection runs locally on the windows (the bounds
-///      guarantee the boundary element lies inside them),
+///   3. one alltoallv fetches the windows' keys from their owners,
+///   4. exact multiway selection runs locally on the key windows (the
+///      bounds guarantee the boundary element lies inside them),
 ///   5. rows are allgathered into the full matrix.
 template <typename R>
-std::vector<std::vector<uint64_t>> DistributedSelect(
-    net::Comm& comm, std::span<const R> local,
-    const std::vector<uint64_t>& sequence_sizes,
-    const std::vector<uint64_t>& target_ranks, uint64_t* rounds_out,
-    net::StreamOptions stream_options = {}) {
-  using Less = typename RecordTraits<R>::Less;
+DistributedSelection DistributedSelect(net::Comm& comm,
+                                       std::span<const R> local,
+                                       uint64_t* rounds_out,
+                                       net::StreamOptions stream_options = {}) {
+  using Traits = RecordTraits<R>;
+  using Key = typename Traits::Key;
   using Entry = typename SampleTable<R>::Entry;
-  Less less;
   const int P = comm.size();
   const int me = comm.rank();
-  DEMSORT_CHECK_EQ(target_ranks.size(), static_cast<size_t>(P - 1));
 
   // 1. Sample every K-th element (K keeps the replicated sample ~8 entries
   // per (sequence, PE) pair).
@@ -81,13 +97,13 @@ std::vector<std::vector<uint64_t>> DistributedSelect(
       std::max<uint64_t>(1, n_local / (8 * static_cast<uint64_t>(P)));
   std::vector<Entry> mine;
   for (uint64_t pos = 0; pos < n_local; pos += sample_k) {
-    mine.push_back(Entry{local[pos], pos});
+    mine.push_back(Entry{Traits::KeyOf(local[pos]), pos});
   }
   // Closing sample: makes tail counts exact (important under heavy key
   // duplication, where the (key, seq) tie order then resolves whole
-  // sequences at once).
+  // sequences at once) and carries the sequence length.
   if (n_local > 0 && (n_local - 1) % sample_k != 0) {
-    mine.push_back(Entry{local[n_local - 1], n_local - 1});
+    mine.push_back(Entry{Traits::KeyOf(local[n_local - 1]), n_local - 1});
   }
   // Streamed replication: the transport never stages P sample payloads
   // (AllgatherVStreamed appends chunks as they land; align defaults to the
@@ -96,18 +112,27 @@ std::vector<std::vector<uint64_t>> DistributedSelect(
   std::vector<std::vector<Entry>> samples =
       comm.AllgatherVStreamed<Entry>(mine, stream_options);
 
+  DistributedSelection result;
+  std::vector<uint64_t> sizes(P, 0);
+  for (int j = 0; j < P; ++j) {
+    if (!samples[j].empty()) sizes[j] = samples[j].back().pos + 1;
+    result.total += sizes[j];
+  }
+  DEMSORT_CHECK_EQ(sizes[me], n_local);
+  const uint64_t target = EvenSplitRank(result.total, P, me);
+
   // 2. Bounds for MY target (PE 0 has none: its row is all zeros).
   std::vector<uint64_t> lo(P, 0), hi(P, 0);
   if (me > 0) {
-    SampleBootstrapBounds<R, Less>(samples, sequence_sizes,
-                                   target_ranks[me - 1], less, &lo, &hi);
+    SampleBootstrapBounds<R>(samples, sizes, target, &lo, &hi);
   }
 
-  // 3. Fetch windows [lo_j, hi_j) from their owners.
+  // 3. Fetch the keys of windows [lo_j, hi_j) from their owners.
   struct WindowRequest {
     uint64_t begin;
     uint64_t end;
   };
+  static_assert(std::has_unique_object_representations_v<WindowRequest>);
   std::vector<std::vector<WindowRequest>> requests(P);
   if (me > 0) {
     for (int j = 0; j < P; ++j) {
@@ -116,15 +141,17 @@ std::vector<std::vector<uint64_t>> DistributedSelect(
   }
   std::vector<std::vector<WindowRequest>> incoming =
       comm.Alltoallv<WindowRequest>(requests);
-  std::vector<std::vector<R>> responses(P);
+  std::vector<std::vector<Key>> responses(P);
   for (int t = 0; t < P; ++t) {
     for (const WindowRequest& req : incoming[t]) {
       DEMSORT_CHECK_LE(req.end, n_local);
-      responses[t].insert(responses[t].end(), local.begin() + req.begin,
-                          local.begin() + req.end);
+      for (uint64_t pos = req.begin; pos < req.end; ++pos) {
+        responses[t].push_back(Traits::KeyOf(local[pos]));
+      }
     }
+    if (t != me) result.keys_sent += responses[t].size();
   }
-  std::vector<std::vector<R>> windows = comm.Alltoallv<R>(responses);
+  std::vector<std::vector<Key>> windows = comm.Alltoallv<Key>(responses);
 
   // 4. Exact selection on the windows: positions relative to the window
   // starts; the bounds guarantee sum(lo) <= target <= sum(hi).
@@ -132,14 +159,15 @@ std::vector<std::vector<uint64_t>> DistributedSelect(
   if (me > 0) {
     uint64_t base = 0;
     for (int j = 0; j < P; ++j) base += lo[j];
-    DEMSORT_CHECK_LE(base, target_ranks[me - 1]);
-    std::vector<std::span<const R>> spans(P);
+    DEMSORT_CHECK_LE(base, target);
+    std::vector<std::span<const Key>> spans(P);
     for (int j = 0; j < P; ++j) {
       DEMSORT_CHECK_EQ(windows[j].size(), hi[j] - lo[j]);
-      spans[j] = std::span<const R>(windows[j].data(), windows[j].size());
+      spans[j] = std::span<const Key>(windows[j].data(), windows[j].size());
     }
-    std::vector<size_t> in_window = par::MultiwaySelect<R, Less>(
-        spans, target_ranks[me - 1] - base, less);
+    std::vector<size_t> in_window =
+        par::MultiwaySelect<Key, typename Traits::KeyLess>(spans,
+                                                           target - base);
     for (int j = 0; j < P; ++j) my_row[j] = lo[j] + in_window[j];
   }
 
@@ -147,8 +175,8 @@ std::vector<std::vector<uint64_t>> DistributedSelect(
   // sample gather.
   std::vector<std::vector<uint64_t>> rows =
       comm.AllgatherVStreamed<uint64_t>(my_row, stream_options);
-  std::vector<std::vector<uint64_t>> result(P - 1);
-  for (int t = 1; t < P; ++t) result[t - 1] = std::move(rows[t]);
+  result.split.resize(P - 1);
+  for (int t = 1; t < P; ++t) result.split[t - 1] = std::move(rows[t]);
   if (rounds_out != nullptr) *rounds_out += 3;
   return result;
 }
@@ -173,26 +201,20 @@ InternalSortResult<R> InternalParallelSort(
   par::ParallelSort<R, Less>(*ctx.pool, std::span<R>(local));
   if (stats != nullptr) stats->elements_sorted += local.size();
 
-  std::vector<uint64_t> sizes = comm.Allgather<uint64_t>(local.size());
-  uint64_t total = 0;
-  for (uint64_t s : sizes) total += s;
-
   InternalSortResult<R> result;
-  result.total = total;
   if (P == 1) {
+    result.total = local.size();
     result.piece = std::move(local);
     result.piece_start = 0;
     return result;
   }
 
-  std::vector<uint64_t> targets(P - 1);
-  for (int t = 1; t < P; ++t) {
-    targets[t - 1] = total / P * t + std::min<uint64_t>(total % P, t);
-  }
   uint64_t rounds = 0;
-  std::vector<std::vector<uint64_t>> split = internal::DistributedSelect<R>(
-      comm, std::span<const R>(local), sizes, targets, &rounds,
-      stream_options);
+  internal::DistributedSelection selection = internal::DistributedSelect<R>(
+      comm, std::span<const R>(local), &rounds, stream_options);
+  const std::vector<std::vector<uint64_t>>& split = selection.split;
+  const uint64_t total = selection.total;
+  result.total = total;
   result.selection_rounds = rounds;
   if (stats != nullptr) stats->selection_rounds += rounds;
 
@@ -247,8 +269,8 @@ InternalSortResult<R> InternalParallelSort(
     stats->merge_ways = std::max<uint64_t>(stats->merge_ways, P);
   }
 
-  uint64_t r_me = me == 0 ? 0 : targets[me - 1];
-  uint64_t r_next = me == P - 1 ? total : targets[me];
+  uint64_t r_me = internal::EvenSplitRank(total, P, me);
+  uint64_t r_next = internal::EvenSplitRank(total, P, me + 1);
   DEMSORT_CHECK_EQ(piece_size, r_next - r_me);
   result.piece_start = r_me;
   return result;

@@ -81,7 +81,8 @@ PipelinedResult<R> PipelinedSort(
     std::vector<typename SampleTable<R>::Entry> samples;
     for (size_t idx = 0; idx < sorted.piece.size(); idx += sample_k) {
       samples.push_back(typename SampleTable<R>::Entry{
-          sorted.piece[idx], piece.global_start + idx});
+          RecordTraits<R>::KeyOf(sorted.piece[idx]),
+          piece.global_start + idx});
     }
     rf.runs.pieces.push_back(std::move(piece));
     rf.samples.per_run.push_back(std::move(samples));
@@ -111,8 +112,10 @@ PipelinedResult<R> PipelinedSort(
   }
 
   // ---- phases 2a/2b: exact selection + redistribution (unchanged).
-  ExternalSelector<R> selector(ctx, config, rf);
-  SplitterMatrix split = selector.SelectAllCollective(nullptr);
+  // A temporary: the selector's key cache and read buffers are freed before
+  // the redistribution starts.
+  SplitterMatrix split =
+      ExternalSelector<R>(ctx, config, rf).SelectAllCollective(nullptr);
   AllToAllResult<R> redistributed =
       ExternalAllToAll<R>(ctx, config, rf, split);
 

@@ -2,8 +2,12 @@
 // to the algorithms.
 //
 // A sortable record is a trivially copyable struct; RecordTraits<R> supplies
-// the comparator and a printable name. Two concrete types cover the paper's
-// evaluation:
+// its sort key, the comparator and a printable name. The sort order is
+// defined once, on the key: `Key` is the compact, padding-free key type,
+// `KeyOf` extracts it, `KeyLess` orders keys, and `Less` orders records by
+// `KeyLess` of their keys. The splitter selections work on keys alone, so
+// they ship and cache sizeof(Key) bytes per element, not sizeof(R). Two
+// concrete types cover the paper's evaluation:
 //  * KV16   — 16 bytes, 64-bit key (the scalability experiments, Figs 2-6;
 //             "element size is (only) 16 bytes with 64-bit keys").
 //  * Gray100 — 100 bytes, 10-byte key (the SortBenchmark categories).
@@ -39,9 +43,14 @@ struct RecordTraits;
 
 template <>
 struct RecordTraits<KV16> {
+  using Key = uint64_t;
+  static const Key& KeyOf(const KV16& r) { return r.key; }
+  struct KeyLess {
+    bool operator()(const Key& a, const Key& b) const { return a < b; }
+  };
   struct Less {
     bool operator()(const KV16& a, const KV16& b) const {
-      return a.key < b.key;
+      return KeyLess()(KeyOf(a), KeyOf(b));
     }
   };
   /// A maximal record under Less (not necessarily strictly greater than
@@ -54,27 +63,35 @@ struct RecordTraits<KV16> {
 
 template <>
 struct RecordTraits<Gray100> {
+  /// The 10 key bytes as they sit in the record.
+  using Key = std::array<uint8_t, 10>;
+  static const Key& KeyOf(const Gray100& r) { return r.key; }
   /// Lexicographic byte order of the 10-byte key, as memcmp would give it,
   /// compared as integers: the big-endian 8-byte prefix, then the 2-byte
   /// tail.
-  struct Less {
-    bool operator()(const Gray100& a, const Gray100& b) const {
+  struct KeyLess {
+    bool operator()(const Key& a, const Key& b) const {
       const uint64_t pa = Prefix(a), pb = Prefix(b);
       if (pa != pb) return pa < pb;
       return Tail(a) < Tail(b);
     }
 
    private:
-    static uint64_t Prefix(const Gray100& r) {
+    static uint64_t Prefix(const Key& k) {
       uint64_t v;
-      std::memcpy(&v, r.key.data(), sizeof(v));
+      std::memcpy(&v, k.data(), sizeof(v));
       if constexpr (std::endian::native == std::endian::little) {
         v = __builtin_bswap64(v);
       }
       return v;
     }
-    static uint16_t Tail(const Gray100& r) {
-      return static_cast<uint16_t>(r.key[8] << 8 | r.key[9]);
+    static uint16_t Tail(const Key& k) {
+      return static_cast<uint16_t>(k[8] << 8 | k[9]);
+    }
+  };
+  struct Less {
+    bool operator()(const Gray100& a, const Gray100& b) const {
+      return KeyLess()(KeyOf(a), KeyOf(b));
     }
   };
   static Gray100 MaxSentinel() {
@@ -84,6 +101,13 @@ struct RecordTraits<Gray100> {
   }
   static constexpr const char* kName = "gray100";
 };
+
+// Keys travel on the wire and into checkpoint images: no padding bytes.
+static_assert(std::has_unique_object_representations_v<
+              RecordTraits<KV16>::Key>);
+static_assert(std::has_unique_object_representations_v<
+              RecordTraits<Gray100>::Key>);
+static_assert(sizeof(RecordTraits<Gray100>::Key) == 10);
 
 }  // namespace demsort::core
 

@@ -9,8 +9,8 @@
 //    allocate from the free list, so disk usage stays ≈ the input footprint.
 //  * Overlap: reads of run r+1 are issued before the cooperative sort of
 //    run r starts, and writes of run r complete while run r+1 is sorted.
-//  * Sampling: every K-th element of each written piece is recorded with its
-//    exact run position — the selection bootstrap and prediction sequence.
+//  * Sampling: the key of every K-th element of each written piece is
+//    recorded with its exact run position — the selection bootstrap.
 #ifndef DEMSORT_CORE_RUN_FORMATION_H_
 #define DEMSORT_CORE_RUN_FORMATION_H_
 
@@ -109,7 +109,10 @@ RunFormationResult<R> FormRuns(PeContext& ctx, const SortConfig& config,
   };
   auto issue_reads = [&](uint64_t run) -> PendingRead {
     PendingRead pending;
-    size_t begin = static_cast<size_t>(run) * blocks_per_run;
+    // A PE with less input than others runs out of blocks before the last
+    // runs: those runs read nothing here.
+    size_t begin =
+        std::min(block_list.size(), static_cast<size_t>(run) * blocks_per_run);
     size_t end = std::min(block_list.size(), begin + blocks_per_run);
     // Batch submission: every read of the run is enqueued before anything
     // waits, so the per-disk pumps run at their full queue depth.
@@ -141,7 +144,8 @@ RunFormationResult<R> FormRuns(PeContext& ctx, const SortConfig& config,
     // any queue depth: a block is freed only after its read COMPLETED, and
     // a write into a reused block is submitted only after the free — so the
     // two ops are never in flight together.
-    size_t begin = static_cast<size_t>(run) * blocks_per_run;
+    size_t begin =
+        std::min(block_list.size(), static_cast<size_t>(run) * blocks_per_run);
     size_t end = std::min(block_list.size(), begin + blocks_per_run);
     for (size_t i = begin; i < end; ++i) bm->Free(block_list[i].first);
     return data;
@@ -204,16 +208,18 @@ RunFormationResult<R> FormRuns(PeContext& ctx, const SortConfig& config,
       recycle(write_buffers);
     }
 
-    // Sample every K-th element of the piece with exact run positions,
-    // plus the closing element (exact tail counts for selection).
+    // Sample the key of every K-th element of the piece with exact run
+    // positions, plus the closing element (exact tail counts for
+    // selection).
     auto& samples = result.samples.per_run[run];
     for (size_t idx = 0; idx < sorted.piece.size(); idx += sample_k) {
       samples.push_back(typename SampleTable<R>::Entry{
-          sorted.piece[idx], piece.global_start + idx});
+          RecordTraits<R>::KeyOf(sorted.piece[idx]),
+          piece.global_start + idx});
     }
     if (!sorted.piece.empty() && (sorted.piece.size() - 1) % sample_k != 0) {
       samples.push_back(typename SampleTable<R>::Entry{
-          sorted.piece.back(),
+          RecordTraits<R>::KeyOf(sorted.piece.back()),
           piece.global_start + sorted.piece.size() - 1});
     }
     if (!config.overlap_run_formation && run + 1 < num_runs) {

@@ -4,14 +4,16 @@
 // table.RunLength(r), physically split into P pieces: PE p holds positions
 // [piece_start[r][p], piece_start[r][p+1]) on its local disks. The
 // GlobalRunTable (replicated via allgather) plus per-PE RunIndex give every
-// phase the addressing it needs; the SampleTable carries every K-th element
-// (with its exact run position) for selection bootstrap and prediction.
+// phase the addressing it needs; the SampleTable carries the key of every
+// K-th element (with its exact run position) for selection bootstrap.
 #ifndef DEMSORT_CORE_RUN_INDEX_H_
 #define DEMSORT_CORE_RUN_INDEX_H_
 
 #include <cstdint>
+#include <type_traits>
 #include <vector>
 
+#include "core/record.h"
 #include "io/block_manager.h"
 #include "util/logging.h"
 
@@ -63,14 +65,17 @@ struct GlobalRunTable {
   }
 };
 
-/// Every K-th element of every run, with exact run positions; replicated.
+/// The key of every K-th element of every run, with exact run positions;
+/// replicated.
 template <typename R>
 struct SampleTable {
-  struct Entry {
-    R record;
-    uint64_t pos = 0;
+  /// Packed, so an entry is sizeof(Key) + 8 bytes with no padding: entries
+  /// are gathered over the network and written into checkpoint images.
+  struct [[gnu::packed]] Entry {
+    typename RecordTraits<R>::Key key;
+    uint64_t pos;
   };
-  static_assert(std::is_trivially_copyable_v<Entry>);
+  static_assert(std::has_unique_object_representations_v<Entry>);
 
   std::vector<std::vector<Entry>> per_run;  // sorted by pos (== by key)
   uint64_t sample_every_k = 0;

@@ -23,6 +23,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "core/record.h"
 #include "core/run_index.h"
 #include "net/comm.h"
 #include "util/logging.h"
@@ -68,29 +69,30 @@ std::vector<T> AllgatherConcatStreamed(net::Comm& comm,
   return merged;
 }
 
-/// True if element `rec` of sequence `i` precedes pivot (xrec, jx) in the
+/// True if key `key` of sequence `i` precedes pivot (xkey, jx) in the
 /// (key, sequence) total order (positions never compared across sequences).
-template <typename R, typename Less>
-bool PrecedesInTieOrder(const R& rec, size_t i, const R& xrec, size_t jx,
-                        const Less& less) {
-  if (less(rec, xrec)) return true;
-  if (less(xrec, rec)) return false;
+template <typename R>
+bool PrecedesInTieOrder(const typename RecordTraits<R>::Key& key, size_t i,
+                        const typename RecordTraits<R>::Key& xkey,
+                        size_t jx) {
+  typename RecordTraits<R>::KeyLess less;
+  if (less(key, xkey)) return true;
+  if (less(xkey, key)) return false;
   return i < jx;
 }
 
-/// Bracket of "number of sequence-i elements preceding pivot (xrec, jx)"
+/// Bracket of "number of sequence-i elements preceding pivot (xkey, jx)"
 /// derivable from sequence i's samples alone.
-template <typename R, typename Less>
+template <typename R>
 void SampleCountBounds(const std::vector<typename SampleTable<R>::Entry>&
                            samples,
-                       uint64_t sequence_length, size_t i, const R& xrec,
-                       size_t jx, const Less& less, uint64_t* c_lo,
-                       uint64_t* c_hi) {
+                       uint64_t sequence_length, size_t i,
+                       const typename RecordTraits<R>::Key& xkey, size_t jx,
+                       uint64_t* c_lo, uint64_t* c_hi) {
   size_t si = std::partition_point(
                   samples.begin(), samples.end(),
                   [&](const auto& s) {
-                    return PrecedesInTieOrder<R, Less>(s.record, i, xrec, jx,
-                                                       less);
+                    return PrecedesInTieOrder<R>(s.key, i, xkey, jx);
                   }) -
               samples.begin();
   *c_lo = si == 0 ? 0 : samples[si - 1].pos + 1;
@@ -100,11 +102,11 @@ void SampleCountBounds(const std::vector<typename SampleTable<R>::Entry>&
 /// Tightens [lo_j, hi_j] for the split positions of `target_rank` using only
 /// the samples, iterating pivots drawn from the samples until fixpoint.
 /// Postcondition: lo_j <= p_j <= hi_j for the exact positions p_j.
-template <typename R, typename Less>
+template <typename R>
 void SampleBootstrapBounds(
     const std::vector<std::vector<typename SampleTable<R>::Entry>>& samples,
     const std::vector<uint64_t>& lengths, uint64_t target_rank,
-    const Less& less, std::vector<uint64_t>* lo, std::vector<uint64_t>* hi) {
+    std::vector<uint64_t>* lo, std::vector<uint64_t>* hi) {
   const size_t k = lengths.size();
   lo->assign(k, 0);
   hi->assign(k, 0);
@@ -134,8 +136,8 @@ void SampleBootstrapBounds(
           continue;
         }
         uint64_t c_lo, c_hi;
-        SampleCountBounds<R, Less>(samples[i], lengths[i], i, pivot.record,
-                                   j, less, &c_lo, &c_hi);
+        SampleCountBounds<R>(samples[i], lengths[i], i, pivot.key, j,
+                               &c_lo, &c_hi);
         rank_lo += c_lo;
         rank_hi += c_hi;
       }
@@ -147,8 +149,8 @@ void SampleBootstrapBounds(
           if (i == j) {
             c_lo = c_hi = pivot.pos;
           } else {
-            SampleCountBounds<R, Less>(samples[i], lengths[i], i,
-                                       pivot.record, j, less, &c_lo, &c_hi);
+            SampleCountBounds<R>(samples[i], lengths[i], i, pivot.key, j,
+                                 &c_lo, &c_hi);
             DEMSORT_CHECK_EQ(c_lo, c_hi);
           }
           (*lo)[i] = c_lo;
@@ -160,8 +162,8 @@ void SampleBootstrapBounds(
         for (size_t i = 0; i < k; ++i) {
           if (i == j) continue;
           uint64_t c_lo, c_hi;
-          SampleCountBounds<R, Less>(samples[i], lengths[i], i, pivot.record,
-                                     j, less, &c_lo, &c_hi);
+          SampleCountBounds<R>(samples[i], lengths[i], i, pivot.key, j,
+                               &c_lo, &c_hi);
           if (c_lo > (*lo)[i]) {
             (*lo)[i] = c_lo;
             changed = true;
@@ -175,8 +177,8 @@ void SampleBootstrapBounds(
         for (size_t i = 0; i < k; ++i) {
           if (i == j) continue;
           uint64_t c_lo, c_hi;
-          SampleCountBounds<R, Less>(samples[i], lengths[i], i, pivot.record,
-                                     j, less, &c_lo, &c_hi);
+          SampleCountBounds<R>(samples[i], lengths[i], i, pivot.key, j,
+                               &c_lo, &c_hi);
           if (c_hi < (*hi)[i]) {
             (*hi)[i] = c_hi;
             changed = true;

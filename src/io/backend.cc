@@ -133,7 +133,8 @@ Status MemoryBackend::DoWrite(uint64_t block, const void* buf) {
   std::lock_guard<std::mutex> lock(mu_);
   if (block >= blocks_.size()) blocks_.resize(block + 1);
   if (blocks_[block] == nullptr) {
-    blocks_[block] = std::make_unique<uint8_t[]>(block_size_);
+    // Not zero-filled: the memcpy below overwrites every byte.
+    blocks_[block] = std::make_unique_for_overwrite<uint8_t[]>(block_size_);
   }
   std::memcpy(blocks_[block].get(), buf, block_size_);
   return Status::OK();

@@ -100,19 +100,17 @@ BlockManager::BlockManager(const Options& options) : options_(options) {
 
 BlockId BlockManager::Allocate() {
   std::lock_guard<std::mutex> lock(mu_);
-  uint32_t disk = rr_cursor_;
+  const uint32_t start = rr_cursor_;
   rr_cursor_ = (rr_cursor_ + 1) % num_disks();
-  BlockId id;
-  id.disk = disk;
-  if (!free_lists_[disk].empty()) {
-    id.block = free_lists_[disk].back();
-    free_lists_[disk].pop_back();
-  } else {
-    id.block = next_fresh_[disk]++;
+  // A freed block on any disk beats a fresh one: fresh blocks grow the disk
+  // footprint (and, on the memory backend, are new allocations). Start at
+  // the round-robin disk so allocation still stripes when the free lists
+  // are balanced.
+  for (uint32_t k = 0; k < num_disks(); ++k) {
+    uint32_t disk = (start + k) % num_disks();
+    if (!free_lists_[disk].empty()) return AllocateOnDiskLocked(disk);
   }
-  ++in_use_;
-  peak_in_use_ = std::max(peak_in_use_, in_use_);
-  return id;
+  return AllocateOnDiskLocked(start);
 }
 
 std::vector<BlockId> BlockManager::AllocateMany(size_t n) {
@@ -125,6 +123,10 @@ std::vector<BlockId> BlockManager::AllocateMany(size_t n) {
 BlockId BlockManager::AllocateOnDisk(uint32_t disk) {
   DEMSORT_CHECK_LT(disk, num_disks());
   std::lock_guard<std::mutex> lock(mu_);
+  return AllocateOnDiskLocked(disk);
+}
+
+BlockId BlockManager::AllocateOnDiskLocked(uint32_t disk) {
   BlockId id;
   id.disk = disk;
   if (!free_lists_[disk].empty()) {

@@ -87,8 +87,9 @@ class BlockManager {
   size_t block_size() const { return options_.block_size; }
   const Options& options() const { return options_; }
 
-  /// Allocates one block, round-robin across disks (striping); reuses freed
-  /// blocks of the chosen disk first.
+  /// Allocates one block, round-robin across disks (striping). A freed block
+  /// is always reused before a fresh one is taken: the round-robin disk's
+  /// if it has one, else the next disk's that does.
   BlockId Allocate();
   std::vector<BlockId> AllocateMany(size_t n);
   /// Allocates n blocks on a specific disk (used by tests and by the striped
@@ -149,6 +150,9 @@ class BlockManager {
   double MaxDiskModelBusySeconds() const;
 
  private:
+  /// Takes a freed block of `disk`, else a fresh one. Caller holds mu_.
+  BlockId AllocateOnDiskLocked(uint32_t disk);
+
   Options options_;
   std::vector<std::unique_ptr<VirtualDisk>> disks_;
 

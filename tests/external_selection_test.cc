@@ -11,24 +11,65 @@
 #include "core/block_io.h"
 #include "core/external_selection.h"
 #include "core/run_formation.h"
+#include "io/striped_writer.h"
 #include "test_util.h"
 #include "workload/generators.h"
 
 namespace demsort::core {
 namespace {
 
+using test::GrayKeys;
 using workload::Distribution;
 
-std::vector<KV16> ReadPiece(PeContext& ctx, const SortConfig& config,
-                            const RunPiece<KV16>& piece) {
-  size_t epb = config.ElementsPerBlock<KV16>();
+template <typename R = KV16>
+std::vector<R> ReadPiece(PeContext& ctx, const SortConfig& config,
+                         const RunPiece<R>& piece) {
+  size_t epb = config.ElementsPerBlock<R>();
   std::vector<size_t> counts(piece.blocks.size());
   uint64_t remaining = piece.size;
   for (size_t i = 0; i < counts.size(); ++i) {
     counts[i] = static_cast<size_t>(std::min<uint64_t>(epb, remaining));
     remaining -= counts[i];
   }
-  return ReadBlocks<KV16>(ctx.bm, piece.blocks, counts);
+  return ReadBlocks<R>(ctx.bm, piece.blocks, counts);
+}
+
+/// Writes `records` onto the PE's disks as its input slice.
+LocalInput WriteInput(io::BlockManager* bm,
+                      const std::vector<Gray100>& records) {
+  io::StripedWriter<Gray100> writer(bm);
+  for (const Gray100& rec : records) writer.Append(rec);
+  writer.Finish();
+  LocalInput input;
+  input.blocks = writer.blocks();
+  input.num_elements = records.size();
+  return input;
+}
+
+/// Brute-force splitters: order every (run, position) by (memcmp key, run,
+/// position) and count, per run, the elements below each target rank.
+std::vector<std::vector<uint64_t>> OracleSplitters(
+    const std::vector<std::vector<Gray100>>& runs, int P) {
+  std::vector<std::pair<size_t, uint64_t>> order;
+  for (size_t r = 0; r < runs.size(); ++r) {
+    for (uint64_t pos = 0; pos < runs[r].size(); ++pos) {
+      order.emplace_back(r, pos);
+    }
+  }
+  std::stable_sort(order.begin(), order.end(),
+                   [&](const auto& a, const auto& b) {
+                     return test::GrayMemcmpLess(runs[a.first][a.second],
+                                                 runs[b.first][b.second]);
+                   });
+  const uint64_t total = order.size();
+  std::vector<std::vector<uint64_t>> split(P + 1);
+  for (int t = 0; t < P; ++t) {
+    uint64_t target = total / P * t + std::min<uint64_t>(total % P, t);
+    split[t].assign(runs.size(), 0);
+    for (uint64_t i = 0; i < target; ++i) ++split[t][order[i].first];
+  }
+  for (const auto& run : runs) split[P].push_back(run.size());
+  return split;
 }
 
 class ExternalSelectionParamTest
@@ -211,6 +252,90 @@ TEST(ExternalSelectionTest, TinyCacheStillCorrect) {
           t == P ? total : total / P * t + std::min<uint64_t>(total % P, t);
       EXPECT_EQ(sum, expect);
     }
+  });
+}
+
+// Selection on Gray100 ships and compares the 10-byte keys alone. The key
+// shapes tie in the 8-byte prefix (or entirely), so a key compare that
+// dropped bytes 8-9 would pick different splitters than the oracle.
+class ExternalSelectionGrayTest
+    : public ::testing::TestWithParam<std::tuple<int, GrayKeys>> {};
+
+TEST_P(ExternalSelectionGrayTest, SplittersMatchBruteForceOracle) {
+  auto [P, shape] = GetParam();
+  SortConfig config = test::SmallConfig();  // 10 Gray100 per block
+  test::RunPes(P, config, [&](PeContext& ctx, const SortConfig& cfg) {
+    std::vector<Gray100> records =
+        test::MakeGray100(shape, 700 + 53 * ctx.rank(), ctx.rank(), cfg.seed);
+    RunFormationResult<Gray100> rf =
+        FormRuns<Gray100>(ctx, cfg, WriteInput(ctx.bm, records));
+    ASSERT_GE(rf.table.num_runs(), 4u);
+
+    ExternalSelector<Gray100> selector(ctx, cfg, rf);
+    SplitterMatrix split = selector.SelectAllCollective(nullptr);
+
+    std::vector<std::vector<Gray100>> runs(rf.table.num_runs());
+    for (size_t r = 0; r < runs.size(); ++r) {
+      std::vector<Gray100> mine = ReadPiece(ctx, cfg, rf.runs.pieces[r]);
+      for (auto& part : ctx.comm->AllgatherV(mine)) {
+        runs[r].insert(runs[r].end(), part.begin(), part.end());
+      }
+    }
+    std::vector<std::vector<uint64_t>> expect = OracleSplitters(runs, P);
+    ASSERT_EQ(split.boundary.size(), expect.size());
+    for (int t = 0; t <= P; ++t) {
+      EXPECT_EQ(split.boundary[t], expect[t]) << "row " << t;
+    }
+  });
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, ExternalSelectionGrayTest,
+    ::testing::Combine(::testing::Values(2, 3, 4),
+                       ::testing::Values(GrayKeys::kPrefixTies,
+                                         GrayKeys::kAllEqual)));
+
+TEST(ExternalSelectionTest, FetchRoundsSendKeysNotRecords) {
+  // Everything a PE sends while selecting is accounted for: the fetched
+  // blocks' keys (sizeof(Key) = 10 bytes each, not a 100-byte record),
+  // one request entry and one frame header per block, and the per-round
+  // convergence allreduce.
+  const int P = 4;
+  using Selector = ExternalSelector<Gray100>;
+  SortConfig config = test::SmallConfig();
+  config.block_size = 4096;  // 40 Gray100 per block
+  config.memory_per_pe = 16 * 1024;
+  test::RunPes(P, config, [&](PeContext& ctx, const SortConfig& cfg) {
+    auto gen = workload::GenerateGray100(ctx.bm, 3000, ctx.rank(), P,
+                                         cfg.seed);
+    auto rf = FormRuns<Gray100>(ctx, cfg, gen.input);
+    net::Comm& comm = *ctx.comm;
+    Selector selector(ctx, cfg, rf);
+    const uint64_t target =
+        internal::EvenSplitRank(rf.total_elements, P, comm.rank());
+    // What one convergence allreduce sends from this PE (the tree
+    // collectives' packing is deterministic, so every round costs the same).
+    comm.Barrier();
+    const uint64_t before_allreduce = comm.StatsSnapshot().bytes_sent;
+    comm.AllreduceAnd(true);
+    const uint64_t allreduce_bytes =
+        comm.StatsSnapshot().bytes_sent - before_allreduce;
+    PhaseStats stats;
+    comm.Barrier();
+    const uint64_t before = comm.StatsSnapshot().bytes_sent;
+    selector.SelectCollective(target, &stats);
+    const uint64_t sent = comm.StatsSnapshot().bytes_sent - before;
+
+    const Selector::FetchCounts& fc = selector.fetch_counts();
+    const uint64_t payload =
+        fc.keys_served * sizeof(Selector::Key) +
+        fc.blocks_served * Selector::kFrameHeaderBytes +
+        fc.blocks_requested * Selector::kRequestBytes;
+    const uint64_t framing = (stats.selection_rounds + 1) * allreduce_bytes;
+    EXPECT_GT(comm.AllreduceSum<uint64_t>(fc.keys_served), 0u);
+    EXPECT_LE(sent, payload + framing)
+        << "keys served " << fc.keys_served << ", a whole record each would "
+        << "be " << fc.keys_served * sizeof(Gray100) << " bytes";
   });
 }
 

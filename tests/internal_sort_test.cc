@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstring>
 #include <mutex>
+#include <span>
 #include <tuple>
 #include <vector>
 
@@ -15,7 +17,9 @@
 namespace demsort::core {
 namespace {
 
+using test::GrayKeys;
 using test::KVLess;
+using GrayLess = RecordTraits<Gray100>::Less;
 
 enum class Dist { kRandom, kSorted, kReversed, kAllEqual, kFewKeys };
 
@@ -142,6 +146,126 @@ TEST(InternalSortTest, SelectionRoundsAreLogarithmic) {
     auto result = InternalParallelSort<KV16>(ctx, std::move(local));
     // log2(4096) = 12; allow generous slack over the bound.
     EXPECT_LE(result.selection_rounds, 40u);
+  });
+}
+
+// Gray100 selection works on the 10-byte keys alone. The key shapes tie in
+// the 8-byte prefix (or entirely), so a key compare that dropped bytes 8-9
+// would pick different splitters than the brute-force oracle.
+class GraySelectTest
+    : public ::testing::TestWithParam<std::tuple<int, GrayKeys>> {};
+
+TEST_P(GraySelectTest, SplittersMatchBruteForceOracle) {
+  auto [P, shape] = GetParam();
+  const uint64_t n = 600;
+  SortConfig config = test::SmallConfig();
+  test::RunPes(P, config, [&](PeContext& ctx, const SortConfig& cfg) {
+    const int me = ctx.rank();
+    std::vector<Gray100> local =
+        test::MakeGray100(shape, n + 37 * me, me, cfg.seed);
+    std::stable_sort(local.begin(), local.end(), GrayLess());
+    uint64_t rounds = 0;
+    internal::DistributedSelection sel = internal::DistributedSelect<Gray100>(
+        *ctx.comm, std::span<const Gray100>(local), &rounds);
+
+    // Oracle: order every (PE, position) by (memcmp key, PE, position) and
+    // count, per PE, the elements below each target rank.
+    std::vector<std::vector<Gray100>> all = ctx.comm->AllgatherV(local);
+    std::vector<std::pair<int, uint64_t>> order;
+    for (int j = 0; j < P; ++j) {
+      for (uint64_t pos = 0; pos < all[j].size(); ++pos) {
+        order.emplace_back(j, pos);
+      }
+    }
+    std::stable_sort(order.begin(), order.end(),
+                     [&](const auto& a, const auto& b) {
+                       return test::GrayMemcmpLess(all[a.first][a.second],
+                                                   all[b.first][b.second]);
+                     });
+    ASSERT_EQ(sel.total, order.size());
+    ASSERT_EQ(sel.split.size(), static_cast<size_t>(P - 1));
+    for (int t = 1; t < P; ++t) {
+      uint64_t target = internal::EvenSplitRank(sel.total, P, t);
+      std::vector<uint64_t> expect(P, 0);
+      for (uint64_t i = 0; i < target; ++i) ++expect[order[i].first];
+      EXPECT_EQ(sel.split[t - 1], expect) << "target " << t;
+    }
+  });
+}
+
+TEST_P(GraySelectTest, SortedPiecesMatchOracle) {
+  auto [P, shape] = GetParam();
+  const uint64_t n = 500;
+  std::mutex mu;
+  std::vector<std::vector<Gray100>> inputs(P), pieces(P);
+  SortConfig config = test::SmallConfig();
+  test::RunPes(P, config, [&](PeContext& ctx, const SortConfig& cfg) {
+    std::vector<Gray100> local =
+        test::MakeGray100(shape, n, ctx.rank(), cfg.seed);
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      inputs[ctx.rank()] = local;
+    }
+    InternalSortResult<Gray100> result =
+        InternalParallelSort<Gray100>(ctx, std::move(local));
+    std::lock_guard<std::mutex> lock(mu);
+    pieces[ctx.rank()] = std::move(result.piece);
+  });
+  // (key, source PE, position) order: a stable sort of the inputs
+  // concatenated in PE order.
+  std::vector<Gray100> all;
+  for (auto& in : inputs) all.insert(all.end(), in.begin(), in.end());
+  std::stable_sort(all.begin(), all.end(), test::GrayMemcmpLess);
+  std::vector<Gray100> got;
+  for (auto& piece : pieces) got.insert(got.end(), piece.begin(), piece.end());
+  ASSERT_EQ(got.size(), all.size());
+  EXPECT_EQ(std::memcmp(got.data(), all.data(), all.size() * sizeof(Gray100)),
+            0);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, GraySelectTest,
+    ::testing::Combine(::testing::Values(2, 3, 4),
+                       ::testing::Values(GrayKeys::kPrefixTies,
+                                         GrayKeys::kAllEqual)));
+
+TEST(InternalSortTest, SelectionSendsKeysNotRecords) {
+  // Everything DistributedSelect sends is accounted for: key samples, the
+  // window requests, the window keys (sizeof(Key) = 10 bytes each, not a
+  // 100-byte record) and the splitter rows, plus per-message stream
+  // framing.
+  const int P = 4;
+  const uint64_t n = 4000;
+  using Key = RecordTraits<Gray100>::Key;
+  using Entry = SampleTable<Gray100>::Entry;
+  SortConfig config = test::SmallConfig();
+  test::RunPes(P, config, [&](PeContext& ctx, const SortConfig& cfg) {
+    Rng rng(cfg.seed + ctx.rank());
+    std::vector<Gray100> local(n);
+    for (Gray100& rec : local) {
+      for (uint8_t& b : rec.key) b = static_cast<uint8_t>(rng.Next());
+    }
+    std::stable_sort(local.begin(), local.end(), GrayLess());
+    net::Comm& comm = *ctx.comm;
+    comm.Barrier();
+    const uint64_t before = comm.StatsSnapshot().bytes_sent;
+    uint64_t rounds = 0;
+    internal::DistributedSelection sel = internal::DistributedSelect<Gray100>(
+        comm, std::span<const Gray100>(local), &rounds);
+    const uint64_t sent = comm.StatsSnapshot().bytes_sent - before;
+
+    const uint64_t sample_k = n / (8 * P);
+    const uint64_t entries = n / sample_k + 1;
+    const uint64_t peers = P - 1;
+    const uint64_t payload = sel.keys_sent * sizeof(Key) +
+                             peers * entries * sizeof(Entry) +
+                             peers * 2 * sizeof(uint64_t) +
+                             peers * P * sizeof(uint64_t);
+    const uint64_t framing = peers * 3 * 256;
+    EXPECT_GT(comm.AllreduceSum<uint64_t>(sel.keys_sent), 0u);
+    EXPECT_LE(sent, payload + framing)
+        << "keys sent " << sel.keys_sent << ", a whole record each would "
+        << "be " << sel.keys_sent * sizeof(Gray100) << " bytes";
   });
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <vector>
@@ -229,6 +230,31 @@ TEST(BlockManagerTest, FreeListIsReused) {
   BlockId b = bm.Allocate();
   EXPECT_EQ(a, b);
   EXPECT_EQ(bm.blocks_in_use(), 1u);
+}
+
+TEST(BlockManagerTest, FreedBlocksOnAnyDiskBeatFreshOnes) {
+  // Blocks freed on one disk are reused by later allocations whichever
+  // disk the round-robin cursor points at: k frees on disk 1, then k
+  // Allocate() calls must hand back exactly those k blocks, no fresh one.
+  BlockManager bm(SmallBm(3));
+  std::vector<BlockId> ids = bm.AllocateMany(12);
+  std::vector<BlockId> freed;
+  for (const BlockId& id : ids) {
+    if (id.disk == 1) freed.push_back(id);
+  }
+  ASSERT_EQ(freed.size(), 4u);
+  for (const BlockId& id : freed) bm.Free(id);
+  std::vector<BlockId> again;
+  for (size_t i = 0; i < freed.size(); ++i) again.push_back(bm.Allocate());
+  std::sort(freed.begin(), freed.end());
+  std::sort(again.begin(), again.end());
+  EXPECT_EQ(again, freed);
+  EXPECT_EQ(bm.blocks_in_use(), 12u);
+  EXPECT_EQ(bm.peak_blocks_in_use(), 12u);
+  // With every free list empty, allocation stripes over fresh blocks again.
+  BlockId a = bm.Allocate();
+  BlockId b = bm.Allocate();
+  EXPECT_NE(a.disk, b.disk);
 }
 
 TEST(BlockManagerTest, PeakTracksHighWater) {

@@ -91,15 +91,25 @@ TEST_P(RunFormationParamTest, RunsAreGloballySortedAndTiled) {
         have_prev = true;
       }
 
-      // Samples: every K-th element with exact positions.
+      // Samples: the key of every K-th element from the piece start, plus
+      // the closing element, each at its exact run position.
       const auto& samples = rf.samples.per_run[r];
+      const uint64_t k = rf.samples.sample_every_k;
+      std::vector<uint64_t> expect_pos, got_pos;
+      for (uint64_t idx = 0; idx < piece.size; idx += k) {
+        expect_pos.push_back(piece.global_start + idx);
+      }
+      if (piece.size > 0 && (piece.size - 1) % k != 0) {
+        expect_pos.push_back(piece.global_start + piece.size - 1);
+      }
       for (const auto& entry : samples) {
         if (entry.pos >= piece.global_start &&
             entry.pos < piece.global_start + piece.size) {
-          EXPECT_EQ(entry.record.value,
-                    data[entry.pos - piece.global_start].value);
+          got_pos.push_back(entry.pos);
+          EXPECT_EQ(entry.key, data[entry.pos - piece.global_start].key);
         }
       }
+      EXPECT_EQ(got_pos, expect_pos);
     }
     EXPECT_EQ(ctx.comm->AllreduceSum<uint64_t>(seen), rf.total_elements);
 
@@ -170,8 +180,8 @@ TEST(RunFormationTest, RandomizationChangesRunComposition) {
       ASSERT_FALSE(s0.empty());
       uint64_t min_key = UINT64_MAX, max_key = 0;
       for (const auto& e : s0) {
-        min_key = std::min(min_key, e.record.key);
-        max_key = std::max(max_key, e.record.key);
+        min_key = std::min<uint64_t>(min_key, e.key);
+        max_key = std::max<uint64_t>(max_key, e.key);
       }
       double spread =
           static_cast<double>(max_key - min_key) / static_cast<double>(UINT64_MAX);

@@ -39,10 +39,10 @@ Family MakeFamily(size_t k, size_t max_len, uint64_t key_range,
     std::sort(f.seqs[j].begin(), f.seqs[j].end(), KVLess());
     uint64_t len = f.seqs[j].size();
     for (uint64_t pos = 0; pos < len; pos += sample_k) {
-      f.samples[j].push_back(Entry{f.seqs[j][pos], pos});
+      f.samples[j].push_back(Entry{f.seqs[j][pos].key, pos});
     }
     if (len > 0 && (len - 1) % sample_k != 0) {
-      f.samples[j].push_back(Entry{f.seqs[j][len - 1], len - 1});
+      f.samples[j].push_back(Entry{f.seqs[j][len - 1].key, len - 1});
     }
     f.lengths.push_back(f.seqs[j].size());
     f.total += f.seqs[j].size();
@@ -68,8 +68,7 @@ TEST_P(SampleBoundsParamTest, BoundsContainExactPositionsAndAreTight) {
       std::vector<size_t> exact =
           par::MultiwaySelect<KV16, KVLess>(spans, target, less);
       std::vector<uint64_t> lo, hi;
-      SampleBootstrapBounds<KV16, KVLess>(f.samples, f.lengths, target, less,
-                                          &lo, &hi);
+      SampleBootstrapBounds<KV16>(f.samples, f.lengths, target, &lo, &hi);
       uint64_t window_total = 0;
       for (size_t j = 0; j < k; ++j) {
         EXPECT_LE(lo[j], exact[j]) << "seq " << j << " target " << target;
@@ -97,22 +96,20 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(SampleBoundsTest, AllEqualKeysStillNarrow) {
   // Duplicate-heavy sequences: the (key, sequence) tie order must keep the
   // windows at sample-gap width, not collapse to "anything goes".
-  KVLess less;
   Family f;
   f.seqs.resize(3);
   f.samples.resize(3);
   for (size_t j = 0; j < 3; ++j) {
     f.seqs[j].assign(256, KV16{7, j});
     for (uint64_t pos = 0; pos < 256; pos += 16) {
-      f.samples[j].push_back(Entry{f.seqs[j][pos], pos});
+      f.samples[j].push_back(Entry{f.seqs[j][pos].key, pos});
     }
     // Closing sample, as the library's samplers produce.
-    f.samples[j].push_back(Entry{f.seqs[j][255], 255});
+    f.samples[j].push_back(Entry{f.seqs[j][255].key, 255});
     f.lengths.push_back(256);
   }
   std::vector<uint64_t> lo, hi;
-  SampleBootstrapBounds<KV16, KVLess>(f.samples, f.lengths, 384, less, &lo,
-                                      &hi);
+  SampleBootstrapBounds<KV16>(f.samples, f.lengths, 384, &lo, &hi);
   // Exact positions for rank 384 in (key, seq, pos) order: 256 + 128 + 0.
   EXPECT_LE(lo[0], 256u);
   EXPECT_GE(hi[0], 256u);
@@ -125,11 +122,10 @@ TEST(SampleBoundsTest, AllEqualKeysStillNarrow) {
 }
 
 TEST(SampleBoundsTest, EmptySequences) {
-  KVLess less;
   std::vector<std::vector<Entry>> samples(3);
   std::vector<uint64_t> lengths = {0, 0, 0};
   std::vector<uint64_t> lo, hi;
-  SampleBootstrapBounds<KV16, KVLess>(samples, lengths, 0, less, &lo, &hi);
+  SampleBootstrapBounds<KV16>(samples, lengths, 0, &lo, &hi);
   for (int j = 0; j < 3; ++j) {
     EXPECT_EQ(lo[j], 0u);
     EXPECT_EQ(hi[j], 0u);
@@ -137,15 +133,13 @@ TEST(SampleBoundsTest, EmptySequences) {
 }
 
 TEST(SampleBoundsTest, SingleElementSequences) {
-  KVLess less;
   std::vector<std::vector<Entry>> samples(2);
   std::vector<uint64_t> lengths = {1, 1};
-  samples[0].push_back(Entry{KV16{10, 0}, 0});
-  samples[1].push_back(Entry{KV16{20, 1}, 0});
+  samples[0].push_back(Entry{10, 0});
+  samples[1].push_back(Entry{20, 0});
   for (uint64_t target = 0; target <= 2; ++target) {
     std::vector<uint64_t> lo, hi;
-    SampleBootstrapBounds<KV16, KVLess>(samples, lengths, target, less, &lo,
-                                        &hi);
+    SampleBootstrapBounds<KV16>(samples, lengths, target, &lo, &hi);
     // Exact positions: target 0 -> (0,0); 1 -> (1,0); 2 -> (1,1).
     uint64_t p0 = target >= 1 ? 1 : 0;
     uint64_t p1 = target >= 2 ? 1 : 0;
@@ -157,13 +151,12 @@ TEST(SampleBoundsTest, SingleElementSequences) {
 }
 
 TEST(PrecedesInTieOrderTest, KeyThenSequence) {
-  KVLess less;
-  KV16 small{1, 0}, big{2, 0};
-  EXPECT_TRUE((PrecedesInTieOrder<KV16, KVLess>(small, 5, big, 1, less)));
-  EXPECT_FALSE((PrecedesInTieOrder<KV16, KVLess>(big, 0, small, 9, less)));
+  const uint64_t small = 1, big = 2;
+  EXPECT_TRUE(PrecedesInTieOrder<KV16>(small, 5, big, 1));
+  EXPECT_FALSE(PrecedesInTieOrder<KV16>(big, 0, small, 9));
   // Equal keys: sequence index decides.
-  EXPECT_TRUE((PrecedesInTieOrder<KV16, KVLess>(small, 1, small, 2, less)));
-  EXPECT_FALSE((PrecedesInTieOrder<KV16, KVLess>(small, 2, small, 1, less)));
+  EXPECT_TRUE(PrecedesInTieOrder<KV16>(small, 1, small, 2));
+  EXPECT_FALSE(PrecedesInTieOrder<KV16>(small, 2, small, 1));
 }
 
 }  // namespace
